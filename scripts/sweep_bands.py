@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Deep verification sweep over all bands of a given order.
 
-Bands are enumerated directly (the diagonal is forced), reduced to
-isomorphism classes, and every subsemigroup is pushed through both the
-library verifier and the quantifier-literal oracle from the test suite.
+Bands are enumerated directly (the census DFS with the diagonal forced),
+reduced to isomorphism classes, and every subsemigroup is pushed through both
+the library verifier and the quantifier-literal oracle from the test suite.
 Every verified transversal is audited, and every admissible one is rebuilt
 and certified. Prints a summary plus any disagreement it finds.
 """
@@ -16,7 +16,7 @@ sys.path.insert(0, "src")
 sys.path.insert(0, "tests")
 
 import oracles
-from adequate.census import canonical_table
+from adequate.census import band_tables, canonical_table
 from adequate.core import FiniteSemigroup, enumerate_subsemigroups
 from adequate.errors import SemigroupError
 from adequate.decompose import roundtrip
@@ -25,65 +25,6 @@ from adequate.transversal import (
     transversal_profile,
     verify_adequate_transversal,
 )
-
-
-def band_tables(n):
-    """Every associative idempotent table, diagonal forced, DFS with the
-    same incremental triple checks as the general census."""
-    t = [[-1] * n for _ in range(n)]
-    for a in range(n):
-        t[a][a] = a
-    cells = [(a, b) for a in range(n) for b in range(n) if a != b]
-    occ = [[(a, a)] for a in range(n)]
-
-    def consistent(a, b, v):
-        ta, tb, tv = t[a], t[b], t[v]
-        for z in range(n):
-            bz = tb[z]
-            if bz >= 0:
-                lhs = tv[z]
-                if lhs >= 0:
-                    rhs = ta[bz]
-                    if rhs >= 0 and lhs != rhs:
-                        return False
-        for x in range(n):
-            tx = t[x]
-            xa = tx[a]
-            if xa >= 0:
-                lhs = t[xa][b]
-                if lhs >= 0:
-                    rhs = tx[v]
-                    if rhs >= 0 and lhs != rhs:
-                        return False
-        for (x, y) in occ[a]:
-            yb = t[y][b]
-            if yb >= 0:
-                rhs = t[x][yb]
-                if rhs >= 0 and rhs != v:
-                    return False
-        for (y, z) in occ[b]:
-            ay = ta[y]
-            if ay >= 0:
-                lhs = t[ay][z]
-                if lhs >= 0 and lhs != v:
-                    return False
-        return True
-
-    def fill(i):
-        if i == len(cells):
-            yield tuple(tuple(r) for r in t)
-            return
-        a, b = cells[i]
-        row = t[a]
-        for v in range(n):
-            row[b] = v
-            occ[v].append((a, b))
-            if consistent(a, b, v):
-                yield from fill(i + 1)
-            occ[v].pop()
-        row[b] = -1
-
-    yield from fill(0)
 
 
 def main():

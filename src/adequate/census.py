@@ -20,7 +20,18 @@ CENSUS_HARD_CAP = 5
 
 
 def labelled_tables(n: int):
-    """Yield every associative n x n table.
+    """Yield every associative n x n table."""
+    yield from _tables(n, lambda a, b: range(n))
+
+
+def band_tables(n: int):
+    """Yield every associative n x n table with t[a][a] = a: the labelled bands."""
+    yield from _tables(n, lambda a, b: (a,) if a == b else range(n))
+
+
+def _tables(n: int, choices):
+    """Yield every associative n x n table whose cell (a, b) takes a value in
+    ``choices(a, b)``.
 
     Cells are filled diagonal first, then row-major; each placement re-checks
     only the triples it completes, using per-value occurrence stacks to find
@@ -30,6 +41,7 @@ def labelled_tables(n: int):
     cells = [(a, a) for a in range(n)] + [
         (a, b) for a in range(n) for b in range(n) if a != b
     ]
+    values = [choices(a, b) for a, b in cells]
     occ: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     last = len(cells)
 
@@ -72,7 +84,7 @@ def labelled_tables(n: int):
             return
         a, b = cells[i]
         row = t[a]
-        for v in range(n):
+        for v in values[i]:
             row[b] = v
             occ[v].append((a, b))
             if consistent(a, b, v):

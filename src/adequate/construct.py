@@ -32,7 +32,6 @@ from .errors import (
     AxiomViolation,
     BandNotNormal,
     ConditionViolation,
-    InvariantBroken,
     NotAdequate,
     NotLeftAdequate,
     NotLeftAmple,
@@ -50,6 +49,8 @@ from .greenstar import (
     star_plus,
 )
 from .transversal import (
+    CheckEntry,
+    CheckReport,
     TransversalDecomposition,
     transversal_profile,
     verify_adequate_transversal,
@@ -84,34 +85,6 @@ class ActionTable:
     i_band: FiniteSemigroup
     e0_in_i: dict
     act: dict
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    applicable: bool
-    passed: bool | None
-    witness: tuple | None = None
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    entries: tuple[CheckEntry, ...]
-
-    def entry(self, name: str) -> CheckEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def ok(self, *names: str) -> bool:
-        return all(self.entry(n).passed for n in names)
-
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries if e.applicable)
-
-    def failures(self) -> tuple[CheckEntry, ...]:
-        return tuple(e for e in self.entries if e.applicable and not e.passed)
 
 
 @dataclass(frozen=True)
@@ -397,6 +370,51 @@ def _require_embedding(s0, band, emb, side):
     return ok, witness, inv_map, class_of
 
 
+# --- carrier to table ----------------------------------------------------------
+
+
+def _carrier_semigroup(legend, product, label) -> tuple[FiniteSemigroup, dict]:
+    """Tabulate ``product`` on the carrier ``legend`` and validate the table.
+
+    Element i of the result is ``legend[i]``, labelled ``label(legend[i])``.
+    Returns the semigroup and the index legend entry -> element. A product
+    that leaves the carrier, or a table that fails validation, raises
+    PostconditionFailed.
+    """
+    index = {t: i for i, t in enumerate(legend)}
+    try:
+        rows = tuple(tuple(index[product(s, t)] for t in legend) for s in legend)
+    except KeyError as exc:
+        raise PostconditionFailed(f"product escaped the carrier: {exc}") from None
+    labels = tuple(label(t) for t in legend)
+    try:
+        w = FiniteSemigroup(order=len(legend), table=rows, labels=labels)
+    except SemigroupError as exc:
+        raise PostconditionFailed(f"built table invalid: {exc}") from None
+    return w, index
+
+
+def _postvalidate(w, legend, w0, s0) -> TransversalDecomposition:
+    """Certify a build on (e, x, ...) coordinates: W is quasi-adequate, its
+    idempotents are the fibre over E0, and w0 is an admissible adequate
+    transversal isomorphic to s0 through x -> w0[x]."""
+    if not abundance_profile(w).is_quasi_adequate:
+        raise PostconditionFailed("output is not quasi-adequate")
+    e0_set = {x for x in range(s0.order) if s0.is_idempotent(x)}
+    for i, t in enumerate(legend):
+        if w.is_idempotent(i) != (t[1] in e0_set):
+            raise PostconditionFailed(f"idempotents of W are not the E0 fibre at {t}")
+    D = verify_adequate_transversal(w, w0)
+    if not transversal_profile(w, D).is_admissible:
+        raise PostconditionFailed("embedded transversal is not admissible")
+    phi = {wi: x for x, wi in enumerate(w0)}
+    sub, to_parent = restrict(w, w0)
+    mor = is_morphism(sub, s0, tuple(phi[p] for p in to_parent))
+    if mor is not None:
+        raise PostconditionFailed(f"transversal copy is not isomorphic to s0 at {mor}")
+    return D
+
+
 # --- general builder ----------------------------------------------------------
 
 
@@ -414,44 +432,28 @@ def build_w(si: StructureInput) -> BuiltSemigroup:
         raise AxiomViolation(report)
 
     sp = star_plus(si.s0)
-    gi = green_relations(si.i_band)
-    gl = green_relations(si.lambda_band)
+    l_rel = green_relations(si.i_band).l
+    r_rel = green_relations(si.lambda_band).r
     ei, el = si.e0_in_i, si.e0_in_lambda
-    L_plus = {x: tuple(sorted(gi.l.classes[gi.l.class_of[ei[sp.plus[x]]]]))
-              for x in range(si.s0.order)}
-    R_star = {x: tuple(sorted(gl.r.classes[gl.r.class_of[el[sp.star[x]]]]))
-              for x in range(si.s0.order)}
-
     legend = tuple(
         (e, x, f)
         for x in range(si.s0.order)
-        for e in L_plus[x]
-        for f in R_star[x]
+        for e in l_rel.classes[l_rel.class_of[ei[sp.plus[x]]]]
+        for f in r_rel.classes[r_rel.class_of[el[sp.star[x]]]]
     )
-    index = {t: i for i, t in enumerate(legend)}
     mi, ml, m0 = si.i_band.table, si.lambda_band.table, si.s0.table
-    rows = []
-    try:
-        for (e, x, f) in legend:
-            row = []
-            for (g, y, h) in legend:
-                a = si.alpha[(x, y)][(f, g)]
-                b = si.beta[(x, y)][(f, g)]
-                row.append(index[(mi[e][a], m0[x][y], ml[b][h])])
-            rows.append(tuple(row))
-    except KeyError as exc:
-        raise PostconditionFailed(f"product escaped the carrier: {exc}") from None
-    labels = tuple(
-        f"({si.i_band.label(e)},{si.s0.label(x)},{si.lambda_band.label(f)})"
-        for (e, x, f) in legend
-    )
-    try:
-        w = FiniteSemigroup(order=len(legend), table=tuple(rows), labels=labels)
-    except SemigroupError as exc:
-        raise PostconditionFailed(f"built table invalid: {exc}") from None
 
+    def product(p, q):
+        (e, x, f), (g, y, h) = p, q
+        return (mi[e][si.alpha[(x, y)][(f, g)]], m0[x][y], ml[si.beta[(x, y)][(f, g)]][h])
+
+    def label(t):
+        e, x, f = t
+        return f"({si.i_band.label(e)},{si.s0.label(x)},{si.lambda_band.label(f)})"
+
+    w, index = _carrier_semigroup(legend, product, label)
     w0 = tuple(index[(ei[sp.plus[x]], x, el[sp.star[x]])] for x in range(si.s0.order))
-    D = _postvalidate(w, legend, w0, si.s0, kind="general")
+    D = _postvalidate(w, legend, w0, si.s0)
     c5 = bool(report.entry("condition_5").passed)
     if c5:
         iw, _ = restrict(w, D.i_set)
@@ -464,26 +466,6 @@ def build_w(si: StructureInput) -> BuiltSemigroup:
         w=w, element_legend=legend, w0=w0, decomposition=D,
         kind="general", condition_flags=(("condition_5", c5),), report=report,
     )
-
-
-def _postvalidate(w, legend, w0, s0, kind) -> TransversalDecomposition:
-    prof = abundance_profile(w)
-    if not prof.is_quasi_adequate:
-        raise PostconditionFailed("output is not quasi-adequate")
-    e0_set = {x for x in range(s0.order) if s0.is_idempotent(x)}
-    for i, t in enumerate(legend):
-        x = t[1] if kind != "spined" else None
-        if kind != "spined" and w.is_idempotent(i) != (x in e0_set):
-            raise PostconditionFailed(f"idempotents of W are not the E0 fibre at {t}")
-    D = verify_adequate_transversal(w, w0)
-    if not transversal_profile(w, D).is_admissible:
-        raise PostconditionFailed("embedded transversal is not admissible")
-    phi = {wi: x for x, wi in enumerate(w0)}
-    sub, to_parent = restrict(w, w0)
-    mor = is_morphism(sub, s0, tuple(phi[p] for p in to_parent))
-    if mor is not None:
-        raise PostconditionFailed(f"transversal copy is not isomorphic to s0 at {mor}")
-    return D
 
 
 # --- quasi-ideal specialisation ------------------------------------------------
@@ -555,19 +537,12 @@ def build_spined_product(l_part, d_l, r_part, d_r, identify) -> BuiltSemigroup:
         for a in range(r_part.order)
         if identify[d_l.bar_of[x]] == d_r.bar_of[a]
     )
-    index = {p: i for i, p in enumerate(legend)}
     tl, tr = l_part.table, r_part.table
-    rows = []
-    for (x, a) in legend:
-        row = []
-        for (y, b) in legend:
-            p = (tl[x][d_l.bar_of[y]], tr[d_r.bar_of[a]][b])
-            if p not in index:
-                raise InvariantBroken(f"spined product escapes the carrier at {(x, a, y, b)}")
-            row.append(index[p])
-        rows.append(tuple(row))
-    labels = tuple(f"({l_part.label(x)},{r_part.label(a)})" for (x, a) in legend)
-    w = FiniteSemigroup(order=len(legend), table=tuple(rows), labels=labels)
+    w, index = _carrier_semigroup(
+        legend,
+        lambda p, q: (tl[p[0]][d_l.bar_of[q[0]]], tr[d_r.bar_of[p[1]]][q[1]]),
+        lambda p: f"({l_part.label(p[0])},{r_part.label(p[1])})",
+    )
 
     w0 = tuple(index[(s, identify[s])] for s in d_l.s0)
     sub_l, _ = restrict(l_part, d_l.s0)
@@ -579,11 +554,8 @@ def build_spined_product(l_part, d_l, r_part, d_r, identify) -> BuiltSemigroup:
         raise PostconditionFailed("spined transversal is not an admissible quasi-ideal")
     order = {s: i for i, s in enumerate(d_l.s0)}
     sub_w, to_parent = restrict(w, w0)
-    phi = []
-    for p in to_parent:
-        x, a = legend[p]
-        phi.append(order[x])
-    if is_morphism(sub_w, sub_l, tuple(phi)) is not None:
+    phi = tuple(order[legend[p][0]] for p in to_parent)
+    if is_morphism(sub_w, sub_l, phi) is not None:
         raise PostconditionFailed("spined transversal copy differs from the shared one")
     return BuiltSemigroup(w=w, element_legend=legend, w0=w0, decomposition=D, kind="spined")
 
@@ -686,10 +658,10 @@ def validate_action_table(at: ActionTable) -> CheckReport:
 def build_semidirect(at: ActionTable) -> BuiltSemigroup:
     """Semidirect product construction for left adequate semigroups.
 
-    The ambient product on all pairs (e, x) is built first; W is its
-    subsemigroup of pairs with e in the L-class of x+. The output is
-    re-verified: left adequate and quasi-adequate, with the pairs (x+, x)
-    an admissible, left ample adequate transversal isomorphic to s0.
+    The carrier is every pair (e, x) with e in the L-class of x+ in the band,
+    ordered by (x, e); the product is (e, x)(g, y) = (e.(x.g), xy). The
+    output is re-verified: left adequate and quasi-adequate, with the pairs
+    (x+, x) an admissible, left ample adequate transversal isomorphic to s0.
     """
     report = validate_action_table(at)
     if not report.ok("s0_adequate"):
@@ -709,53 +681,26 @@ def build_semidirect(at: ActionTable) -> BuiltSemigroup:
         if not report.ok(f"condition_{k}"):
             raise ConditionViolation(k, report.entry(f"condition_{k}").witness)
 
-    n0, ni = at.s0.order, at.i_band.order
-    pairs = [(e, x) for x in range(n0) for e in range(ni)]
-    pindex = {p: i for i, p in enumerate(pairs)}
-    t0, ti, act = at.s0.table, at.i_band.table, at.act
-    amb_rows = tuple(
-        tuple(pindex[(ti[e][act[(x, g)]], t0[x][y])] for (g, y) in pairs)
-        for (e, x) in pairs
-    )
-    try:
-        ambient = FiniteSemigroup(order=len(pairs), table=amb_rows)
-    except SemigroupError as exc:
-        raise PostconditionFailed(f"ambient semidirect product invalid: {exc}") from None
-
+    n0 = at.s0.order
     sp = star_plus(at.s0)
-    gi = green_relations(at.i_band)
+    l_rel = green_relations(at.i_band).l
     ei = at.e0_in_i
-    L_plus = {x: tuple(sorted(gi.l.classes[gi.l.class_of[ei[sp.plus[x]]]]))
-              for x in range(n0)}
-    member = [pindex[(e, x)] for x in range(n0) for e in L_plus[x]]
-    try:
-        w_raw, to_parent = restrict(ambient, member)
-    except SemigroupError as exc:
-        raise PostconditionFailed(f"carrier is not closed: {exc}") from None
-    legend = tuple(pairs[p] for p in to_parent)
-    labels = tuple(f"({at.i_band.label(e)},{at.s0.label(x)})" for (e, x) in legend)
-    w = FiniteSemigroup(order=w_raw.order, table=w_raw.table, labels=labels)
-    index = {p: i for i, p in enumerate(legend)}
-
-    prof = abundance_profile(w)
-    if not prof.is_left_adequate or not prof.is_quasi_adequate:
-        raise PostconditionFailed("output is not a left adequate, quasi-adequate semigroup")
-    e0_set = {x for x in range(n0) if at.s0.is_idempotent(x)}
-    for i, (e, x) in enumerate(legend):
-        if w.is_idempotent(i) != (x in e0_set):
-            raise PostconditionFailed(f"idempotents of W are not the E0 fibre at {(e, x)}")
+    legend = tuple(
+        (e, x) for x in range(n0) for e in l_rel.classes[l_rel.class_of[ei[sp.plus[x]]]]
+    )
+    t0, ti, act = at.s0.table, at.i_band.table, at.act
+    w, index = _carrier_semigroup(
+        legend,
+        lambda p, q: (ti[p[0]][act[(p[1], q[0])]], t0[p[1]][q[1]]),
+        lambda p: f"({at.i_band.label(p[0])},{at.s0.label(p[1])})",
+    )
     w0 = tuple(index[(ei[sp.plus[x]], x)] for x in range(n0))
-    D = verify_adequate_transversal(w, w0)
-    tprof = transversal_profile(w, D)
-    if not tprof.is_admissible:
-        raise PostconditionFailed("embedded transversal is not admissible")
-    sub, sub_parent = restrict(w, w0)
-    sprof = abundance_profile(sub)
+    D = _postvalidate(w, legend, w0, at.s0)
+    if not abundance_profile(w).is_left_adequate:
+        raise PostconditionFailed("output is not left adequate")
+    sprof = abundance_profile(restrict(w, w0)[0])
     if not (sprof.is_adequate and sprof.is_left_ample):
         raise PostconditionFailed("embedded transversal is not left ample")
-    phi = {wi: x for x, wi in enumerate(w0)}
-    if is_morphism(sub, at.s0, tuple(phi[p] for p in sub_parent)) is not None:
-        raise PostconditionFailed("transversal copy is not isomorphic to s0")
 
     c3 = bool(report.entry("condition_3").passed)
     if c3:

@@ -107,10 +107,6 @@ class FiniteSemigroup:
                 return e
         return None
 
-    def is_commutative(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
-
 
 def validate_table(raw, labels=None) -> FiniteSemigroup:
     """Validate a raw square integer table and wrap it as a semigroup."""
@@ -296,19 +292,7 @@ def universal_partition(n: int) -> Partition:
 
 def meet(p: Partition, q: Partition) -> Partition:
     """Common refinement: related iff related in both."""
-    return partition_from_class_of(
-        _dense([(p.class_of[x], q.class_of[x]) for x in range(p.order)])
-    )
-
-
-def _dense(keys):
-    seen: dict = {}
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen[k] = len(seen)
-        out.append(seen[k])
-    return out
+    return partition_from_class_of((p.class_of[x], q.class_of[x]) for x in range(p.order))
 
 
 def join(p: Partition, q: Partition) -> Partition:
@@ -508,31 +492,19 @@ def band_class(S: FiniteSemigroup) -> BandClassification:
 
 
 def band_j_class(E: FiniteSemigroup, e: int) -> tuple[int, ...]:
-    """The J-class of e inside a band, via principal two-sided ideals."""
+    """The J-class of e inside a band."""
+    p = band_j_partition(E)
+    if not 0 <= e < E.order:
+        raise OutOfRange(e, e, e)
+    return p.classes[p.class_of[e]]
+
+
+def band_j_partition(E: FiniteSemigroup) -> Partition:
+    """All J-classes of a band at once, via principal two-sided ideals."""
     t = E.table
     n = E.order
     if any(t[x][x] != x for x in range(n)):
         raise NotABand(f"element {next(x for x in range(n) if t[x][x] != x)} is not idempotent")
-    if not 0 <= e < n:
-        raise OutOfRange(e, e, e)
-
-    def ideal(x: int) -> frozenset[int]:
-        members = {x}
-        members.update(t[x][b] for b in range(n))
-        members.update(t[a][x] for a in range(n))
-        members.update(t[a][t[x][b]] for a in range(n) for b in range(n))
-        return frozenset(members)
-
-    target = ideal(e)
-    return tuple(f for f in range(n) if ideal(f) == target)
-
-
-def band_j_partition(E: FiniteSemigroup) -> Partition:
-    """All J-classes of a band at once."""
-    t = E.table
-    n = E.order
-    if any(t[x][x] != x for x in range(n)):
-        raise NotABand("input is not a band")
     ideals = []
     for x in range(n):
         members = {x}
@@ -540,4 +512,4 @@ def band_j_partition(E: FiniteSemigroup) -> Partition:
         members.update(t[a][x] for a in range(n))
         members.update(t[a][t[x][b]] for a in range(n) for b in range(n))
         ideals.append(frozenset(members))
-    return partition_from_class_of(_dense(ideals))
+    return partition_from_class_of(ideals)

@@ -26,8 +26,6 @@ from .greenstar import abundance_profile
 from .construct import (
     ActionTable,
     BuiltSemigroup,
-    CheckEntry,
-    CheckReport,
     StructureInput,
     build_semidirect,
     build_spined_product,
@@ -36,6 +34,8 @@ from .construct import (
     validate_structure_input,
 )
 from .transversal import (
+    CheckEntry,
+    CheckReport,
     TransversalDecomposition,
     transversal_profile,
     verify_adequate_transversal,

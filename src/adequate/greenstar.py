@@ -115,20 +115,10 @@ def green_relations(S: FiniteSemigroup) -> GreenRelations:
         right_ideals.append(frozenset(aS))
         left_ideals.append(frozenset(Sa))
         two_sided.append(frozenset(SaS))
-    r = _partition_from_keys(right_ideals)
-    l = _partition_from_keys(left_ideals)
+    r = partition_from_class_of(right_ideals)
+    l = partition_from_class_of(left_ideals)
     return GreenRelations(r=r, l=l, h=meet(r, l), d=join(r, l),
-                          j=_partition_from_keys(two_sided))
-
-
-def _partition_from_keys(keys) -> Partition:
-    seen: dict = {}
-    out = []
-    for k in keys:
-        if k not in seen:
-            seen[k] = len(seen)
-        out.append(seen[k])
-    return partition_from_class_of(out)
+                          j=partition_from_class_of(two_sided))
 
 
 @dataclass(frozen=True)

@@ -314,7 +314,7 @@ def canonical_inverse(S: FiniteSemigroup, D: TransversalDecomposition, x: int) -
 
 
 @dataclass(frozen=True)
-class AuditEntry:
+class CheckEntry:
     name: str
     applicable: bool
     passed: bool | None
@@ -322,23 +322,29 @@ class AuditEntry:
 
 
 @dataclass(frozen=True)
-class AuditReport:
-    entries: tuple[AuditEntry, ...]
+class CheckReport:
+    """Named checks with witnesses: identity audits, builder input
+    validation, regular-case specialisations and roundtrip legs."""
 
-    def entry(self, name: str) -> AuditEntry:
+    entries: tuple[CheckEntry, ...]
+
+    def entry(self, name: str) -> CheckEntry:
         for e in self.entries:
             if e.name == name:
                 return e
         raise KeyError(name)
 
+    def ok(self, *names: str) -> bool:
+        return all(self.entry(n).passed for n in names)
+
     def all_passed(self) -> bool:
         return all(e.passed for e in self.entries if e.applicable)
 
-    def failures(self) -> tuple[AuditEntry, ...]:
+    def failures(self) -> tuple[CheckEntry, ...]:
         return tuple(e for e in self.entries if e.applicable and not e.passed)
 
 
-def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> AuditReport:
+def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckReport:
     """Evaluate every identity the decomposition is known to satisfy.
 
     Failures are report entries with witnesses, never exceptions, so the CLI
@@ -356,10 +362,10 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> AuditRe
     e_of, bar_of, f_of, inv0 = D.e_of, D.bar_of, D.f_of, D.inv0
     plus_p = D.plus_map()
     star_p = D.star_map()
-    entries: list[AuditEntry] = []
+    entries: list[CheckEntry] = []
 
     def add(name, applicable, passed=None, witness=None):
-        entries.append(AuditEntry(name, applicable, passed, witness))
+        entries.append(CheckEntry(name, applicable, passed, witness))
 
     def scan(name, gen):
         for witness in gen:
@@ -507,7 +513,7 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> AuditRe
         add("ef_theorem", False)
         add("ef_factorisation", False)
 
-    return AuditReport(entries=tuple(entries))
+    return CheckReport(entries=tuple(entries))
 
 
 def _inverse_identities_hold(t, i0, x, y) -> bool:

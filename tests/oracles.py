@@ -232,3 +232,40 @@ def transversal_check(table, subset):
         tuple(f_of[x] for x in range(n)),
     )
     return "ok", maps
+
+
+# --- semidirect product through the ambient table ------------------------------
+
+
+def semidirect_by_ambient(s0_table, band_table, e0_in_band, act, s0_labels, band_labels):
+    """The semidirect carrier cut out of the full product on all pairs (e, x).
+
+    The ambient product (e, x)(g, y) = (e.(x.g), xy) is tabulated on every
+    pair, checked associative, and restricted to the pairs with e L x+, where
+    x+ is the idempotent of x's R*-class in s0 and e L f means ef = e and
+    fe = f in the band. Returns (legend, table, labels) in ambient order.
+    """
+    n0, ni = len(s0_table), len(band_table)
+    pairs = [(e, x) for x in range(n0) for e in range(ni)]
+    pindex = {p: i for i, p in enumerate(pairs)}
+    ambient = [
+        [pindex[(band_table[e][act[(x, g)]], s0_table[x][y])] for (g, y) in pairs]
+        for (e, x) in pairs
+    ]
+    assert is_associative(ambient)
+
+    plus = {}
+    for cls in rstar_classes(s0_table):
+        (idem,) = [u for u in cls if s0_table[u][u] == u]
+        for x in cls:
+            plus[x] = idem
+    member = []
+    for i, (e, x) in enumerate(pairs):
+        f = e0_in_band[plus[x]]
+        if band_table[e][f] == e and band_table[f][e] == f:
+            member.append(i)
+    mset = set(member)
+    assert all(ambient[a][b] in mset for a in member for b in member)
+    legend = tuple(pairs[i] for i in member)
+    labels = tuple(f"({band_labels[e]},{s0_labels[x]})" for (e, x) in legend)
+    return legend, tuple(map(tuple, _sub_table(ambient, member))), labels

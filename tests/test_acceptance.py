@@ -260,7 +260,8 @@ def test_c09_negative_controls(acceptance_order):
 
     # ambiguous factorisations: exhaustive search over the full census; no
     # instance exists at desk orders, so the control is recorded as vacuous
-    # (the stand-alone hunt script extends this to order-5 bands, also empty)
+    # (nor among the 251 band classes of order 5, which scripts/sweep_bands.py 5
+    # pushes through the same verifier)
     outcomes = {"ambiguous": 0, "transversal": 0, "rejected": 0}
     for S in census_pool(acceptance_order):
         if not abundance_profile(S).is_abundant:

@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import census_pool
-from adequate.census import canonical_table, census_counts, enumerate_semigroups
+from adequate.census import (
+    band_tables,
+    canonical_table,
+    census_counts,
+    enumerate_semigroups,
+    labelled_tables,
+)
 from adequate.core import relabel_table
 from adequate.errors import OrderCapExceeded
 
@@ -26,6 +32,12 @@ def test_labelled_streams_are_all_associative_and_distinct():
         assert S.table not in seen
         seen.add(S.table)
     assert len(seen) == 113
+
+
+def test_band_tables_are_the_idempotent_labelled_tables():
+    for n in range(1, 5):
+        expected = [t for t in labelled_tables(n) if all(t[a][a] == a for a in range(n))]
+        assert list(band_tables(n)) == expected
 
 
 def test_representatives_are_canonical():

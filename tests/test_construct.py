@@ -1,7 +1,9 @@
 import copy
+from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import admissible_pool
 from adequate.catalog import catalog
 from adequate.core import band_class, find_isomorphism, restrict, validate_table
@@ -28,9 +30,11 @@ from adequate.construct import (
     validate_action_table,
     validate_structure_input,
 )
-from adequate.decompose import extract_structure
+from adequate.decompose import extract_action, extract_structure
+from adequate.fileio import parse_action_table
 from adequate.transversal import transversal_profile, verify_adequate_transversal
 
+DATA = Path(__file__).parent / "data"
 TRIV = validate_table([[0]])
 LZ2 = validate_table([[0, 0], [1, 1]], labels=["a", "b"])
 RZ2 = validate_table([[0, 1], [0, 1]], labels=["a'", "b'"])
@@ -301,6 +305,38 @@ class TestBuildSemidirect:
                          act={(0, 0): 1, (0, 1): 1})
         report = validate_action_table(at)
         assert report.entry("condition_1").passed is False
+
+
+class TestSemidirectCarrier:
+    """The directly built carrier against the ambient product cut down to it."""
+
+    @staticmethod
+    def assert_matches_ambient(at):
+        b = build_semidirect(at)
+        legend, table, labels = oracles.semidirect_by_ambient(
+            at.s0.table, at.i_band.table, at.e0_in_i, at.act,
+            [at.s0.label(x) for x in range(at.s0.order)],
+            [at.i_band.label(e) for e in range(at.i_band.order)],
+        )
+        assert b.element_legend == legend
+        assert b.w.table == table
+        assert b.w.labels == labels
+
+    def test_every_left_ample_admissible_instance(self, admissible_corpus):
+        done = 0
+        for name, S, D in admissible_corpus:
+            prof = abundance_profile(S)
+            if not (prof.is_left_adequate and prof.is_quasi_adequate):
+                continue
+            sprof = abundance_profile(restrict(S, D.s0)[0])
+            if not (sprof.is_adequate and sprof.is_left_ample):
+                continue
+            self.assert_matches_ambient(extract_action(S, D))
+            done += 1
+        assert done > 0
+
+    def test_action_file(self):
+        self.assert_matches_ambient(parse_action_table(DATA / "lz2_action.json"))
 
 
 class TestSection4:

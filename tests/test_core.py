@@ -263,6 +263,11 @@ class TestBandJClass:
         with pytest.raises(NotABand):
             band_j_class(validate_table(C2), 0)
 
+    def test_element_out_of_range(self):
+        for e in (-1, 2):
+            with pytest.raises(OutOfRange):
+                band_j_class(validate_table(LZ2), e)
+
     @settings(max_examples=40)
     @given(pool_strategy(), st.data())
     def test_symmetry(self, S, data):
