@@ -233,28 +233,37 @@ def validate_structure_input(si: StructureInput) -> CheckReport:
     alpha, beta = si.alpha, si.beta
 
     def cond1():
+        # (h, k, alpha_yz(h, k), beta_yz(h, k)) for every (y, z), listed once
+        hk_rows = {
+            (y, z): [(h, k, alpha[(y, z)][(h, k)], beta[(y, z)][(h, k)])
+                     for h in R_star[y] for k in L_plus[z]]
+            for y in range(n0) for z in range(n0)
+        }
         for x in range(n0):
             for y in range(n0):
+                xy = mul0[x][y]
+                a_xy_fam, b_xy_fam = alpha[(x, y)], beta[(x, y)]
+                fg_rows = [(f, g, a_xy_fam[(f, g)], b_xy_fam[(f, g)])
+                           for f in R_star[x] for g in L_plus[y]]
                 for z in range(n0):
-                    xy, yz = mul0[x][y], mul0[y][z]
-                    for f in R_star[x]:
-                        for g in L_plus[y]:
-                            a_xy = alpha[(x, y)][(f, g)]
-                            b_xy = beta[(x, y)][(f, g)]
-                            for h in R_star[y]:
-                                bh = ml[b_xy][h]
-                                for k in L_plus[z]:
-                                    a_yz = alpha[(y, z)][(h, k)]
-                                    b_yz = beta[(y, z)][(h, k)]
-                                    ga = mi[g][a_yz]
-                                    lhs_i = mi[a_xy][_lookup(alpha, (xy, z), (bh, k))]
-                                    rhs_i = _lookup(alpha, (x, yz), (f, ga))
-                                    if lhs_i != rhs_i:
-                                        return ("alpha", x, y, z, f, g, h, k)
-                                    lhs_l = ml[_lookup(beta, (x, yz), (f, ga))][b_yz]
-                                    rhs_l = _lookup(beta, (xy, z), (bh, k))
-                                    if lhs_l != rhs_l:
-                                        return ("beta", x, y, z, f, g, h, k)
+                    yz = mul0[y][z]
+                    a_left, b_left = alpha[(xy, z)], beta[(xy, z)]
+                    a_right, b_right = alpha[(x, yz)], beta[(x, yz)]
+                    rows = hk_rows[(y, z)]
+                    for f, g, a_xy, b_xy in fg_rows:
+                        mg, ma, mb = mi[g], mi[a_xy], ml[b_xy]
+                        for h, k, a_yz, b_yz in rows:
+                            bh = mb[h]
+                            ga = mg[a_yz]
+                            # alpha and beta share their key sets, so only these two can miss
+                            if (bh, k) not in a_left:
+                                raise _Missing(((xy, z), (bh, k)))
+                            if (f, ga) not in a_right:
+                                raise _Missing(((x, yz), (f, ga)))
+                            if ma[a_left[(bh, k)]] != a_right[(f, ga)]:
+                                return ("alpha", x, y, z, f, g, h, k)
+                            if ml[b_right[(f, ga)]][b_yz] != b_left[(bh, k)]:
+                                return ("beta", x, y, z, f, g, h, k)
         return None
 
     def cond2():
@@ -267,58 +276,43 @@ def validate_structure_input(si: StructureInput) -> CheckReport:
                     return ("beta", x, y)
         return None
 
+    # (3), (4): "equal key1 => equal key2" over pairs, so one dict per (x, e) or (x, f) suffices
     def cond3():
         for x in range(n0):
             xs = el[sp.star[x]]
             xp = sp.plus[x]
-            for x1 in range(n0):
-                for x2 in range(n0):
-                    for e in L_plus[x]:
-                        for f1 in R_star[x1]:
-                            for f2 in R_star[x2]:
-                                for e1 in L_plus[x1]:
-                                    for e2 in L_plus[x2]:
-                                        if (mi[e1][alpha[(x1, x)][(f1, e)]]
-                                                != mi[e2][alpha[(x2, x)][(f2, e)]]):
-                                            continue
-                                        if mul0[x1][x] != mul0[x2][x]:
-                                            continue
-                                        if (ml[beta[(x1, x)][(f1, e)]][xs]
-                                                != ml[beta[(x2, x)][(f2, e)]][xs]):
-                                            continue
-                                        if (mi[e1][_lookup(alpha, (x1, xp), (f1, e))]
-                                                != mi[e2][_lookup(alpha, (x2, xp), (f2, e))]
-                                                or mul0[x1][xp] != mul0[x2][xp]
-                                                or _lookup(beta, (x1, xp), (f1, e))
-                                                != _lookup(beta, (x2, xp), (f2, e))):
-                                            return (x, x1, x2, e, e1, f1, e2, f2)
+            for e in L_plus[x]:
+                seen: dict = {}
+                for x1 in range(n0):
+                    for f1 in R_star[x1]:
+                        a1, b1 = alpha[(x1, x)][(f1, e)], beta[(x1, x)][(f1, e)]
+                        a2 = _lookup(alpha, (x1, xp), (f1, e))
+                        b2 = _lookup(beta, (x1, xp), (f1, e))
+                        for e1 in L_plus[x1]:
+                            key1 = (mi[e1][a1], mul0[x1][x], ml[b1][xs])
+                            key2 = (mi[e1][a2], mul0[x1][xp], b2)
+                            held = seen.setdefault(key1, (key2, x1, e1, f1))
+                            if held[0] != key2:
+                                return (x, held[1], x1, e, held[2], held[3], e1, f1)
         return None
 
     def cond4():
         for x in range(n0):
             xp = ei[sp.plus[x]]
             xst = sp.star[x]
-            for x1 in range(n0):
-                for x2 in range(n0):
-                    for f in R_star[x]:
-                        for e1 in L_plus[x1]:
-                            for e2 in L_plus[x2]:
-                                for f1 in R_star[x1]:
-                                    for f2 in R_star[x2]:
-                                        if (mi[xp][alpha[(x, x1)][(f, e1)]]
-                                                != mi[xp][alpha[(x, x2)][(f, e2)]]):
-                                            continue
-                                        if mul0[x][x1] != mul0[x][x2]:
-                                            continue
-                                        if (ml[beta[(x, x1)][(f, e1)]][f1]
-                                                != ml[beta[(x, x2)][(f, e2)]][f2]):
-                                            continue
-                                        if (_lookup(alpha, (xst, x1), (f, e1))
-                                                != _lookup(alpha, (xst, x2), (f, e2))
-                                                or mul0[xst][x1] != mul0[xst][x2]
-                                                or ml[_lookup(beta, (xst, x1), (f, e1))][f1]
-                                                != ml[_lookup(beta, (xst, x2), (f, e2))][f2]):
-                                            return (x, x1, x2, f, e1, f1, e2, f2)
+            for f in R_star[x]:
+                seen: dict = {}
+                for x1 in range(n0):
+                    for e1 in L_plus[x1]:
+                        a1, b1 = alpha[(x, x1)][(f, e1)], beta[(x, x1)][(f, e1)]
+                        a2 = _lookup(alpha, (xst, x1), (f, e1))
+                        b2 = _lookup(beta, (xst, x1), (f, e1))
+                        for f1 in R_star[x1]:
+                            key1 = (mi[xp][a1], mul0[x][x1], ml[b1][f1])
+                            key2 = (a2, mul0[xst][x1], ml[b2][f1])
+                            held = seen.setdefault(key1, (key2, x1, e1, f1))
+                            if held[0] != key2:
+                                return (x, held[1], x1, f, held[2], held[3], e1, f1)
         return None
 
     def cond5():
@@ -427,7 +421,11 @@ def build_w(si: StructureInput) -> BuiltSemigroup:
     is re-validated from scratch: quasi-adequate, with the diagonal triples
     forming an admissible adequate transversal isomorphic to s0.
     """
-    report = validate_structure_input(si)
+    return _build_w(si, validate_structure_input(si))
+
+
+def _build_w(si: StructureInput, report: CheckReport) -> BuiltSemigroup:
+    """build_w on structure data whose validation report is already at hand."""
     if not report.ok(*_STRUCTURAL) or not report.ok(*(f"condition_{k}" for k in range(1, 5))):
         raise AxiomViolation(report)
 
@@ -486,8 +484,6 @@ def build_quasi_ideal_w(s0, i_band, lambda_band, e0_in_i, e0_in_lambda) -> Built
     prof = abundance_profile(s0)
     if not prof.is_adequate:
         raise NotAdequate("the transversal seed must be adequate")
-    _require_embedding(s0, i_band, e0_in_i, "l")
-    _require_embedding(s0, lambda_band, e0_in_lambda, "r")
     alpha, beta = canonical_alpha_beta(s0, i_band, lambda_band, e0_in_i, e0_in_lambda)
     si = StructureInput(s0=s0, i_band=i_band, lambda_band=lambda_band,
                         e0_in_i=e0_in_i, e0_in_lambda=e0_in_lambda,
@@ -663,7 +659,11 @@ def build_semidirect(at: ActionTable) -> BuiltSemigroup:
     output is re-verified: left adequate and quasi-adequate, with the pairs
     (x+, x) an admissible, left ample adequate transversal isomorphic to s0.
     """
-    report = validate_action_table(at)
+    return _build_semidirect(at, validate_action_table(at))
+
+
+def _build_semidirect(at: ActionTable, report: CheckReport) -> BuiltSemigroup:
+    """build_semidirect on an action whose validation report is already at hand."""
     if not report.ok("s0_adequate"):
         raise NotAdequate("the acting semigroup must be adequate")
     if not report.ok("s0_left_ample"):

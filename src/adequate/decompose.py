@@ -27,9 +27,9 @@ from .construct import (
     ActionTable,
     BuiltSemigroup,
     StructureInput,
-    build_semidirect,
+    _build_semidirect,
+    _build_w,
     build_spined_product,
-    build_w,
     validate_action_table,
     validate_structure_input,
 )
@@ -49,6 +49,12 @@ def extract_structure(S: FiniteSemigroup, D: TransversalDecomposition) -> Struct
     The output is guaranteed to pass all five validation conditions; failure
     to do so is an internal error, not a property of the input.
     """
+    return _extract_structure(S, D)[0]
+
+
+def _extract_structure(S: FiniteSemigroup,
+                       D: TransversalDecomposition) -> tuple[StructureInput, CheckReport]:
+    """extract_structure, also returning the passing validation report."""
     if not abundance_profile(S).is_quasi_adequate:
         raise NotQuasiAdequate("extraction needs a quasi-adequate ambient semigroup")
     if not transversal_profile(S, D).is_admissible:
@@ -92,11 +98,17 @@ def extract_structure(S: FiniteSemigroup, D: TransversalDecomposition) -> Struct
         raise InvariantBroken(
             f"extracted structure fails validation: {[e.name for e in report.failures()]}"
         )
-    return si
+    return si, report
 
 
 def extract_action(S: FiniteSemigroup, D: TransversalDecomposition) -> ActionTable:
     """Recover the left action x . e = e(x e) of the transversal on I."""
+    return _extract_action(S, D)[0]
+
+
+def _extract_action(S: FiniteSemigroup,
+                    D: TransversalDecomposition) -> tuple[ActionTable, CheckReport]:
+    """extract_action, also returning the passing validation report."""
     prof = abundance_profile(S)
     if not prof.is_left_adequate or not prof.is_quasi_adequate:
         raise NotLeftAdequate("extraction needs a left adequate, quasi-adequate semigroup")
@@ -133,7 +145,7 @@ def extract_action(S: FiniteSemigroup, D: TransversalDecomposition) -> ActionTab
         raise InvariantBroken(
             f"extracted action fails validation: {[e.name for e in report.failures()]}"
         )
-    return at
+    return at, report
 
 
 def extract_spined_factors(S: FiniteSemigroup, D: TransversalDecomposition):
@@ -201,9 +213,9 @@ def roundtrip(S: FiniteSemigroup, D: TransversalDecomposition) -> RoundtripRepor
     reproduce S up to the stated isomorphism or the roundtrip fails.
     """
     entries: list[CheckEntry] = []
-    si = extract_structure(S, D)
+    si, report = _extract_structure(S, D)
     entries.append(CheckEntry("structure_conditions", True, True))
-    built = build_w(si)
+    built = _build_w(si, report)
 
     s0_back = {p: i for i, p in enumerate(D.s0)}
     i_back = {p: i for i, p in enumerate(D.i_set)}
@@ -227,8 +239,7 @@ def roundtrip(S: FiniteSemigroup, D: TransversalDecomposition) -> RoundtripRepor
     s0_sub, _ = restrict(S, D.s0)
     s0_prof = abundance_profile(s0_sub)
     if prof.is_left_adequate and s0_prof.is_left_ample:
-        at = extract_action(S, D)
-        sb = build_semidirect(at)
+        sb = _build_semidirect(*_extract_action(S, D))
         sidx = sb.legend_index()
         iso2 = []
         for x in range(S.order):

@@ -2,9 +2,11 @@
 built from them (abundant, adequate, quasi-adequate, ample, IC, bountiful).
 
 R* relates a and b when left multiplier equalities agree: xa = ya iff xb = yb
-for all x, y in S^1; L* is the right-multiplication dual. These are computed
-straight from the quantifier definition over a materialised S^1. Faster
-idempotent shortcuts exist but live only in the test suite as oracles.
+for all x, y in S^1; L* is the right-multiplication dual. That holds exactly
+when the maps x -> xa and x -> xb on S^1 have the same kernel, so each element
+is keyed once by the kernel of its column (R*) or row (L*) over S^1, and
+elements with equal keys form the classes. The pairwise quantifier scan is kept
+in the test suite as the oracle this is checked against.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .core import (
     CONGRUENCE_CAP,
     FiniteSemigroup,
     Partition,
-    adjoin_identity,
     band_j_partition,
     congruence_witness,
     enumerate_congruences,
@@ -46,47 +47,20 @@ class StarRelations:
 
 @lru_cache(maxsize=None)
 def star_relations(S: FiniteSemigroup) -> StarRelations:
-    """R*, L* and H* = R* meet L*, by the multiplier-pair definition."""
-    S1 = adjoin_identity(S)
-    t = S1.table
-    m = S1.order
-    n = S.order
-    rng = range(m)
-
-    def r_related(a: int, b: int) -> bool:
-        for x in rng:
-            xa, xb = t[x][a], t[x][b]
-            for y in rng:
-                if (t[y][a] == xa) != (t[y][b] == xb):
-                    return False
-        return True
-
-    def l_related(a: int, b: int) -> bool:
-        ta, tb = t[a], t[b]
-        for x in rng:
-            ax, bx = ta[x], tb[x]
-            for y in rng:
-                if (ta[y] == ax) != (tb[y] == bx):
-                    return False
-        return True
-
-    rstar = _partition_by(n, r_related)
-    lstar = _partition_by(n, l_related)
+    """R*, L* and H* = R* meet L*, by the kernels of the multiplier maps."""
+    t = S.table
+    rstar = partition_from_class_of(
+        _kernel_key(col + (a,)) for a, col in enumerate(zip(*t)))
+    lstar = partition_from_class_of(_kernel_key(row + (a,)) for a, row in enumerate(t))
     return StarRelations(rstar=rstar, lstar=lstar, hstar=meet(rstar, lstar))
 
 
-def _partition_by(n: int, related) -> Partition:
-    reps: list[int] = []
-    class_of = [0] * n
-    for x in range(n):
-        for i, r in enumerate(reps):
-            if related(r, x):
-                class_of[x] = i
-                break
-        else:
-            class_of[x] = len(reps)
-            reps.append(x)
-    return partition_from_class_of(class_of)
+def _kernel_key(values) -> tuple[int, ...]:
+    """The kernel of x -> values[x] as a restricted-growth tuple: equal tuples
+    exactly when the two maps identify the same pairs of arguments. The last
+    value is the image of the adjoined identity of S^1."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(v, len(first)) for v in values)
 
 
 @dataclass(frozen=True)

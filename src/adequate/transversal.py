@@ -129,16 +129,17 @@ def _verify_cached(S: FiniteSemigroup, s0: tuple) -> TransversalDecomposition:
     e_of = [0] * S.order
     bar_of = [0] * S.order
     f_of = [0] * S.order
+    # every candidate triple lands in the bucket of its product, in (s, e, f) order
+    by_product: list[list[tuple[int, int, int]]] = [[] for _ in range(S.order)]
+    for s in members:
+        es = [e for e in E if green.l.same(e, plus_p[s])]
+        fs = [f for f in E if green.r.same(f, star_p[s])]
+        for e in es:
+            row = t[t[e][s]]
+            for f in fs:
+                by_product[row[f]].append((e, s, f))
     for x in range(S.order):
-        triples = []
-        for s in members:
-            es = [e for e in E if green.l.same(e, plus_p[s])]
-            fs = [f for f in E if green.r.same(f, star_p[s])]
-            for e in es:
-                esf_left = t[e][s]
-                for f in fs:
-                    if t[esf_left][f] == x:
-                        triples.append((e, s, f))
+        triples = by_product[x]
         if not triples:
             raise NoDecomposition(x)
         if len(triples) > 1:
@@ -235,14 +236,17 @@ def transversal_profile(S: FiniteSemigroup, D: TransversalDecomposition) -> Tran
     wits: list[tuple[str, tuple[int, ...]]] = []
 
     qi1 = qi2 = qi3 = True
-    for u in D.s0:
-        for s in range(S.order):
-            us = t[u][s]
-            for v in D.s0:
-                if t[us][v] not in s0:
-                    qi1 = False
-                    if not any(w[0] == "quasi_ideal_sandwich" for w in wits):
-                        wits.append(("quasi_ideal_sandwich", (u, s, v)))
+    # u s v depends on (u, s) only through us: find each product's first bad v once
+    first_bad_v: dict[int, int | None] = {}
+    for u, s in ((u, s) for u in D.s0 for s in range(S.order)):
+        us = t[u][s]
+        if us not in first_bad_v:
+            row = t[us]
+            first_bad_v[us] = next((v for v in D.s0 if row[v] not in s0), None)
+        if first_bad_v[us] is not None:
+            qi1 = False
+            wits.append(("quasi_ideal_sandwich", (u, s, first_bad_v[us])))
+            break
     for f in D.lambda_set:
         for e in D.i_set:
             if t[f][e] not in s0:

@@ -1,9 +1,9 @@
 """Independent oracle implementations used to cross-check the library.
 
 Everything here recomputes results straight from definitions with different
-mechanics than the library paths (kernel partitions instead of multiplier
-scans, itertools table scans instead of DFS, union-find closures instead of
-restricted-growth filters), so agreement is meaningful.
+mechanics than the library paths (pairwise quantifier scans instead of
+one key per element, itertools table scans instead of DFS, union-find
+closures instead of restricted-growth filters), so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -18,20 +18,6 @@ def _with_identity(table):
     return out
 
 
-def _kernel_of_column(t1, a):
-    by_value: dict = {}
-    for x in range(len(t1)):
-        by_value.setdefault(t1[x][a], []).append(x)
-    return frozenset(frozenset(v) for v in by_value.values())
-
-
-def _kernel_of_row(t1, a):
-    by_value: dict = {}
-    for x in range(len(t1)):
-        by_value.setdefault(t1[a][x], []).append(x)
-    return frozenset(frozenset(v) for v in by_value.values())
-
-
 def _classes_by_key(n, keys):
     groups: dict = {}
     for a in range(n):
@@ -39,17 +25,40 @@ def _classes_by_key(n, keys):
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
+def _pairwise_classes(n, related):
+    """Classes of an equivalence given pairwise, testing each element against
+    one representative per class found so far."""
+    classes: list = []
+    for x in range(n):
+        for cls in classes:
+            if related(cls[0], x):
+                cls.append(x)
+                break
+        else:
+            classes.append([x])
+    return sorted(tuple(c) for c in classes)
+
+
 def rstar_classes(table):
-    """R*-classes: a and b related iff the kernels of x -> xa and x -> xb agree."""
+    """R*-classes by the quantifier: a R* b iff xa = ya <=> xb = yb for all x, y in S^1."""
     t1 = _with_identity(table)
-    keys = [_kernel_of_column(t1, a) for a in range(len(table))]
-    return _classes_by_key(len(table), keys)
+    m = range(len(t1))
+
+    def related(a, b):
+        return all((t1[x][a] == t1[y][a]) == (t1[x][b] == t1[y][b]) for x in m for y in m)
+
+    return _pairwise_classes(len(table), related)
 
 
 def lstar_classes(table):
+    """L*-classes by the quantifier: a L* b iff ax = ay <=> bx = by for all x, y in S^1."""
     t1 = _with_identity(table)
-    keys = [_kernel_of_row(t1, a) for a in range(len(table))]
-    return _classes_by_key(len(table), keys)
+    m = range(len(t1))
+
+    def related(a, b):
+        return all((t1[a][x] == t1[a][y]) == (t1[b][x] == t1[b][y]) for x in m for y in m)
+
+    return _pairwise_classes(len(table), related)
 
 
 def green_r_classes(table):
@@ -207,31 +216,33 @@ def transversal_check(table, subset):
         plus[s] = members[next(e for e in sub_idem if e in rcls)]
         star[s] = members[next(e for e in sub_idem if e in lcls)]
 
-    gl = green_l_classes(table)
-    gr = green_r_classes(table)
-    e_of, bar_of, f_of = {}, {}, {}
-    for x in range(n):
-        triples = []
-        for s in members:
-            for e in idem:
-                if e not in class_of(gl, plus[s]):
-                    continue
-                for f in idem:
-                    if f not in class_of(gr, star[s]):
-                        continue
-                    if table[table[e][s]][f] == x:
-                        triples.append((e, s, f))
+    by_element = factorisations_by_element(table, members, plus, star)
+    for triples in by_element:
         if not triples:
             return "no_decomposition", None
         if len(triples) > 1:
             return "ambiguous", None
-        e_of[x], bar_of[x], f_of[x] = triples[0]
-    maps = (
-        tuple(e_of[x] for x in range(n)),
-        tuple(bar_of[x] for x in range(n)),
-        tuple(f_of[x] for x in range(n)),
-    )
-    return "ok", maps
+    return "ok", tuple(zip(*(triples[0] for triples in by_element)))
+
+
+def factorisations_by_element(table, members, plus, star):
+    """For each x in turn, every (e, s, f) with e s f = x, s in members, e an
+    idempotent Green-L-related to plus[s] and f one Green-R-related to star[s],
+    in (s, e, f) order."""
+    n = len(table)
+    idem = [x for x in range(n) if table[x][x] == x]
+    l_class = {x: c for c in green_l_classes(table) for x in c}
+    r_class = {x: c for c in green_r_classes(table) for x in c}
+    out = []
+    for x in range(n):
+        out.append([
+            (e, s, f)
+            for s in members
+            for e in idem if e in l_class[plus[s]]
+            for f in idem if f in r_class[star[s]]
+            if table[table[e][s]][f] == x
+        ])
+    return out
 
 
 # --- semidirect product through the ambient table ------------------------------
@@ -269,3 +280,66 @@ def semidirect_by_ambient(s0_table, band_table, e0_in_band, act, s0_labels, band
     legend = tuple(pairs[i] for i in member)
     labels = tuple(f"({band_labels[e]},{s0_labels[x]})" for (e, x) in legend)
     return legend, tuple(map(tuple, _sub_table(ambient, member))), labels
+
+
+# --- structure conditions (3) and (4) by pairwise scan ----------------------------
+
+
+def _structure_frame(si):
+    """x -> x+ and x -> x* in s0, and the band classes L_{x+} in I and R_{x*} in
+    Lambda, recomputed from the raw tables of the structure data ``si``."""
+    s0 = si.s0.table
+    plus, star = {}, {}
+    for classes, target in ((rstar_classes(s0), plus), (lstar_classes(s0), star)):
+        for cls in classes:
+            idem = [u for u in cls if s0[u][u] == u]  # exactly one: s0 is adequate
+            target.update((x, idem[0]) for x in cls)
+    l_class = {x: c for c in green_l_classes(si.i_band.table) for x in c}
+    r_class = {x: c for c in green_r_classes(si.lambda_band.table) for x in c}
+    l_plus = [l_class[si.e0_in_i[plus[x]]] for x in range(len(s0))]
+    r_star = [r_class[si.e0_in_lambda[star[x]]] for x in range(len(s0))]
+    return plus, star, l_plus, r_star
+
+
+def condition_keys(si, k):
+    """keys(x, c, x1, e1, f1) -> (key1, key2) of the triple (e1, x1, f1) in
+    structure condition k = 3 (c = e in L_{x+}) or k = 4 (c = f in R_{x*}).
+
+    The condition holds when, at every (x, c), triples with equal key1 have
+    equal key2.
+    """
+    plus, star, _, _ = _structure_frame(si)
+    mi, ml, m0 = si.i_band.table, si.lambda_band.table, si.s0.table
+    a, b, ei, el = si.alpha, si.beta, si.e0_in_i, si.e0_in_lambda
+
+    def keys3(x, e, x1, e1, f1):
+        xs, xp = el[star[x]], plus[x]
+        return ((mi[e1][a[(x1, x)][(f1, e)]], m0[x1][x], ml[b[(x1, x)][(f1, e)]][xs]),
+                (mi[e1][a[(x1, xp)][(f1, e)]], m0[x1][xp], b[(x1, xp)][(f1, e)]))
+
+    def keys4(x, f, x1, e1, f1):
+        xp, xst = ei[plus[x]], star[x]
+        return ((mi[xp][a[(x, x1)][(f, e1)]], m0[x][x1], ml[b[(x, x1)][(f, e1)]][f1]),
+                (a[(xst, x1)][(f, e1)], m0[xst][x1], ml[b[(xst, x1)][(f, e1)]][f1]))
+
+    return keys3 if k == 3 else keys4
+
+
+def condition_pairwise(si, k):
+    """Structure condition k = 3 or 4 by a scan over every pair of triples:
+    the first violation as (x, x1, x2, c, e1, f1, e2, f2), or None."""
+    _, _, l_plus, r_star = _structure_frame(si)
+    keys = condition_keys(si, k)
+    n0 = len(si.s0.table)
+    triples = [[(e1, f1) for e1 in l_plus[x1] for f1 in r_star[x1]] for x1 in range(n0)]
+    for x in range(n0):
+        for x1 in range(n0):
+            for x2 in range(n0):
+                for c in (l_plus if k == 3 else r_star)[x]:
+                    for e1, f1 in triples[x1]:
+                        key1, key2 = keys(x, c, x1, e1, f1)
+                        for e2, f2 in triples[x2]:
+                            other1, other2 = keys(x, c, x2, e2, f2)
+                            if key1 == other1 and key2 != other2:
+                                return (x, x1, x2, c, e1, f1, e2, f2)
+    return None

@@ -146,6 +146,8 @@ def test_c05_structure_theorem_forward_and_converse(acceptance_order):
         si = extract_structure(S, D)
         report = validate_structure_input(si)
         assert report.all_passed(), (name, [e.name for e in report.failures()])
+        for k in (3, 4):
+            assert oracles.condition_pairwise(si, k) is None, (name, k)
         rt = roundtrip(S, D)
         assert rt.checks.entry("w_isomorphism").passed, name
         done += 1

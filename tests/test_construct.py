@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,10 @@ from adequate.errors import (
     AxiomViolation,
     BandNotNormal,
     ConditionViolation,
+    NotAdequate,
     NotLeftAdequate,
-    NotLeftAmple,
     NotQuasiIdeal,
+    TransversalInvalid,
     TransversalMismatch,
 )
 from adequate.greenstar import abundance_profile, star_plus
@@ -106,6 +108,62 @@ class TestValidateStructureInput:
         assert report.entry("condition_4").passed is False
 
 
+def assert_conditions_3_4_match_pairwise(si):
+    """Conditions (3) and (4) agree with the pairwise oracle, and a failing
+    one names two triples with equal first keys and different second keys."""
+    report = validate_structure_input(si)
+    for k in (3, 4):
+        entry = report.entry(f"condition_{k}")
+        if not entry.applicable:
+            continue
+        assert entry.passed == (oracles.condition_pairwise(si, k) is None), k
+        if not entry.passed:
+            x, x1, x2, c, e1, f1, e2, f2 = entry.witness
+            keys = oracles.condition_keys(si, k)
+            (key1, key2), (other1, other2) = keys(x, c, x1, e1, f1), keys(x, c, x2, e2, f2)
+            assert key1 == other1 and key2 != other2, (k, entry.witness)
+    return report
+
+
+def single_entry_mutations(si):
+    """Every structure input that differs from si in one alpha or beta value."""
+    for name, band in (("alpha", si.i_band), ("beta", si.lambda_band)):
+        fam = getattr(si, name)
+        for key, inner in fam.items():
+            for point, value in inner.items():
+                for other in range(band.order):
+                    if other != value:
+                        mutated = dict(fam)
+                        mutated[key] = {**inner, point: other}
+                        yield dataclasses.replace(si, **{name: mutated})
+
+
+class TestConditionsAgainstPairwiseOracle:
+    def test_single_entry_mutations_of_the_named_inputs(self):
+        ei, el = {0: 2, 1: 0}, {0: 0, 1: 1}
+        alpha, beta = canonical_alpha_beta(CHAIN2, LNB3, CHAIN2, ei, el)
+        cases = [
+            lz2_structure_input(),
+            StructureInput(s0=CHAIN2, i_band=LNB3, lambda_band=CHAIN2,
+                           e0_in_i=ei, e0_in_lambda=el, alpha=alpha, beta=beta),
+        ]
+        cases += [m for base in list(cases) for m in single_entry_mutations(base)]
+        failed = [assert_conditions_3_4_match_pairwise(si).entry("condition_4").passed
+                  for si in cases].count(False)
+        assert failed >= 2
+
+    def test_single_entry_mutations_of_extracted_structures(self, admissible_corpus):
+        checked = failed = 0
+        for name, S, D in admissible_corpus:
+            if not abundance_profile(S).is_quasi_adequate:
+                continue
+            for si in single_entry_mutations(extract_structure(S, D)):
+                report = assert_conditions_3_4_match_pairwise(si)
+                checked += report.entry("condition_3").applicable
+                failed += not (report.ok("condition_3") and report.ok("condition_4"))
+        assert checked > 0 and failed > 0, (checked, failed)
+
+
 class TestBuildW:
     def test_left_zero_band_from_trivial_seed(self):
         b = build_w(lz2_structure_input())
@@ -187,6 +245,16 @@ class TestBuildQuasiIdeal:
         prof = transversal_profile(b.w, b.decomposition)
         assert prof.is_quasi_ideal and prof.is_multiplicative
         assert find_isomorphism(b.w, LNB3) is not None
+
+    @pytest.mark.parametrize("e0_in_i, e0_in_lambda, witness", [
+        ({0: 5}, {0: 0}, "('injective', (5,))"),
+        ({1: 0}, {0: 0}, "('keys', (1,))"),
+        ({0: 0}, {0: 3}, "('injective', (3,))"),
+    ])
+    def test_rejects_bad_embedding(self, e0_in_i, e0_in_lambda, witness):
+        with pytest.raises(TransversalInvalid) as excinfo:
+            build_quasi_ideal_w(TRIV, LZ2, TRIV, e0_in_i, e0_in_lambda)
+        assert str(excinfo.value) == f"band transversal embedding invalid: {witness}"
 
     def test_rejects_non_normal_band(self):
         with pytest.raises(BandNotNormal):
@@ -292,13 +360,15 @@ class TestBuildSemidirect:
         with pytest.raises((ActionLawViolation, ConditionViolation)):
             build_semidirect(at)
 
-    def test_rejects_non_ample_seed(self):
+    def test_rejects_non_adequate_seed(self):
         # the two-element right zero band is right adequate but not left
-        # adequate, so it cannot act as the seed
+        # adequate, so it fails the adequacy gate before the left ample one
         at = ActionTable(s0=RZ2, i_band=LZ2, e0_in_i={0: 0, 1: 1},
                          act={(x, e): e for x in range(2) for e in range(2)})
-        with pytest.raises((NotLeftAmple, Exception)):
+        with pytest.raises(NotAdequate) as excinfo:
             build_semidirect(at)
+        assert excinfo.type is NotAdequate
+        assert str(excinfo.value) == "the acting semigroup must be adequate"
 
     def test_validate_action_reports_condition_failures(self):
         at = ActionTable(s0=TRIV, i_band=LZ2, e0_in_i={0: 0},

@@ -59,7 +59,7 @@ class TestStarRelations:
 
     @settings(max_examples=50)
     @given(pool_strategy())
-    def test_against_kernel_oracle(self, S):
+    def test_against_pairwise_oracle(self, S):
         sr = star_relations(S)
         assert list(sr.rstar.classes) == oracles.rstar_classes(S.table)
         assert list(sr.lstar.classes) == oracles.lstar_classes(S.table)

@@ -5,12 +5,14 @@ from conftest import census_pool, transversal_pool
 from adequate.catalog import catalog
 from adequate.core import enumerate_subsemigroups, restrict, validate_table
 from adequate.errors import (
+    AmbiguousDecomposition,
     InvariantBroken,
     NoDecomposition,
     NotAbundant,
     NotAdequateSub,
     NotClosed,
     NotRegular,
+    SemigroupError,
 )
 from adequate.greenstar import (
     abundance_profile,
@@ -119,6 +121,37 @@ class TestVerify:
                 assert (D.e_of, D.bar_of, D.f_of) == want_maps
 
 
+    def test_factorisation_matches_per_element_scan_on_census(self):
+        # every candidate that reaches the factorisation step: the same maps,
+        # or the same first element without exactly one factorisation
+        reached: dict = {}
+        for S in census_pool(4):
+            for sub in enumerate_subsemigroups(S):
+                try:
+                    D = verify_adequate_transversal(S, sub)
+                except (NoDecomposition, AmbiguousDecomposition) as exc:
+                    failure = exc
+                except SemigroupError:
+                    continue
+                else:
+                    failure = None
+                part, to_parent = restrict(S, sub)
+                sp = star_plus(part)
+                plus = {p: to_parent[sp.plus[i]] for i, p in enumerate(to_parent)}
+                star = {p: to_parent[sp.star[i]] for i, p in enumerate(to_parent)}
+                scan = oracles.factorisations_by_element(S.table, to_parent, plus, star)
+                outcome = type(failure).__name__ if failure else "ok"
+                reached[outcome] = reached.get(outcome, 0) + 1
+                if failure is None:
+                    assert [[(D.e_of[x], D.bar_of[x], D.f_of[x])] for x in range(S.order)] == scan
+                    continue
+                x = next(x for x, triples in enumerate(scan) if len(triples) != 1)
+                assert failure.element == x
+                assert getattr(failure, "triples", ()) == tuple(sorted(scan[x]))
+        # no candidate at these orders is ambiguous (acceptance check c09)
+        assert reached == {"ok": 143, "NoDecomposition": 459}, reached
+
+
 class TestFind:
     def test_left_zero_has_two(self):
         assert [D.s0 for D in find_adequate_transversals(LZ2)] == [(0,), (1,)]
@@ -154,6 +187,20 @@ class TestProfile:
         D = verify_adequate_transversal(lrb, (0, 2))
         p = transversal_profile(lrb, D)
         assert p.is_admissible and not p.is_quasi_ideal and not p.is_multiplicative
+
+    def test_sandwich_witness_is_the_first_escape(self, transversal_corpus):
+        escapes = 0
+        for name, S, D in transversal_corpus:
+            wits = [w for kind, w in transversal_profile(S, D).witnesses
+                    if kind == "quasi_ideal_sandwich"]
+            first = next(
+                ((u, s, v) for u in D.s0 for s in range(S.order) for v in D.s0
+                 if S.mul(S.mul(u, s), v) not in D.s0),
+                None,
+            )
+            assert wits == ([] if first is None else [first]), name
+            escapes += first is not None
+        assert escapes > 0
 
     def test_multiplicative_iff_quasi_ideal_on_quasi_adequate(self):
         for name, S, D in transversal_pool(4):
