@@ -8,9 +8,7 @@ from .core import (
     BandClassification,
     FiniteSemigroup,
     Partition,
-    adjoin_identity,
     band_class,
-    band_j_class,
     direct_product,
     enumerate_congruences,
     enumerate_subsemigroups,
@@ -25,6 +23,7 @@ from .greenstar import (
     StarPlusMaps,
     StarRelations,
     abundance_profile,
+    band_j_class,
     delta,
     green_relations,
     is_admissible,

@@ -19,7 +19,7 @@ from .construct import (
     build_w,
     check_section4_specialization,
 )
-from .core import CONGRUENCE_CAP, SUBSEMIGROUP_CAP, find_isomorphism, restrict
+from .core import CONGRUENCE_CAP, CONGRUENCE_HARD_CAP, SUBSEMIGROUP_CAP, find_isomorphism, restrict
 from .decompose import roundtrip
 from .errors import (
     IsoFailed,
@@ -102,7 +102,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
             "is_congruence": d.is_congruence,
             "quotient_order": d.quotient.order if d.quotient else None,
         }
-        cap = args.max_order or CONGRUENCE_CAP
+        cap = min(args.max_order or CONGRUENCE_CAP, CONGRUENCE_HARD_CAP)
         if S.order <= cap:
             gamma = min_adequate_admissible_congruence(S, cap=cap)
             report["gamma_classes"] = _classes(gamma)

@@ -616,30 +616,22 @@ def validate_action_table(at: ActionTable) -> CheckReport:
     )
     add("condition_1", True, w is None, w)
 
-    L_plus = {x: l_class[sp.plus[x]] for x in range(n0)}
-    w = None
-    for x in range(n0):
-        xp = ei[sp.plus[x]]
-        xs = sp.star[x]
-        for x1 in range(n0):
-            for x2 in range(n0):
-                for e1 in L_plus[x1]:
-                    for e2 in L_plus[x2]:
-                        if ti[xp][act[(x, e1)]] != ti[xp][act[(x, e2)]]:
-                            continue
-                        if t0[x][x1] != t0[x][x2]:
-                            continue
-                        if act[(xs, e1)] != act[(xs, e2)] or t0[xs][x1] != t0[xs][x2]:
-                            w = (x, x1, x2, e1, e2)
-                            break
-                    if w:
-                        break
-                if w:
-                    break
-            if w:
-                break
-        if w:
-            break
+    # (2): "equal key1 => equal key2" over pairs (x1, e1), (x2, e2), so one dict per x suffices
+    def cond2():
+        for x in range(n0):
+            xp = ei[sp.plus[x]]
+            xs = sp.star[x]
+            seen: dict = {}
+            for x1 in range(n0):
+                for e1 in l_class[sp.plus[x1]]:
+                    key1 = (ti[xp][act[(x, e1)]], t0[x][x1])
+                    key2 = (act[(xs, e1)], t0[xs][x1])
+                    held = seen.setdefault(key1, (key2, x1, e1))
+                    if held[0] != key2:
+                        return (x, held[1], x1, held[2], e1)
+        return None
+
+    w = cond2()
     add("condition_2", True, w is None, w)
 
     w = next(

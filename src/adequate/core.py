@@ -13,7 +13,6 @@ from functools import lru_cache
 
 from .errors import (
     NonSquare,
-    NotABand,
     NotACongruence,
     NotAssociative,
     NotClosed,
@@ -23,6 +22,9 @@ from .errors import (
 
 SUBSEMIGROUP_CAP = 8
 CONGRUENCE_CAP = 7
+# a raised cap stops here: each further element multiplies the search by about 5
+SUBSEMIGROUP_HARD_CAP = 12
+CONGRUENCE_HARD_CAP = 10
 
 
 def _validate(order: int, table) -> None:
@@ -51,17 +53,11 @@ def _validate(order: int, table) -> None:
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """A finite semigroup: a square, associative table over element indices.
-
-    ``adjoined_identity`` records the index of a two-sided identity when the
-    value was produced by :func:`adjoin_identity`; it is checked on
-    construction like everything else.
-    """
+    """A finite semigroup: a square, associative table over element indices."""
 
     order: int
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
-    adjoined_identity: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
@@ -70,13 +66,6 @@ class FiniteSemigroup:
             if len(self.labels) != self.order:
                 raise ValueError("labels must match the order")
         _validate(self.order, self.table)
-        e = self.adjoined_identity
-        if e is not None:
-            if not 0 <= e < self.order:
-                raise OutOfRange(e, e, e)
-            for x in range(self.order):
-                if self.table[e][x] != x or self.table[x][e] != x:
-                    raise ValueError(f"{e} is flagged as identity but is not one")
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -115,20 +104,6 @@ def validate_table(raw, labels=None) -> FiniteSemigroup:
     except TypeError:
         raise NonSquare("table must be a sequence of rows") from None
     return FiniteSemigroup(order=order, table=tuple(tuple(row) for row in raw), labels=labels)
-
-
-def adjoin_identity(S: FiniteSemigroup) -> FiniteSemigroup:
-    """Adjoin a fresh two-sided identity, even if S already has one.
-
-    The starred relations quantify over S^1, so callers always get one extra
-    element; callers that want S^1 = S must check ``S.identity()`` first.
-    """
-    n = S.order
-    table = [list(row) + [a] for a, row in enumerate(S.table)]
-    table.append(list(range(n + 1)))
-    labels = None if S.labels is None else S.labels + ("id",)
-    return FiniteSemigroup(order=n + 1, table=tuple(tuple(r) for r in table),
-                           labels=labels, adjoined_identity=n)
 
 
 def restrict(S: FiniteSemigroup, subset) -> tuple[FiniteSemigroup, tuple[int, ...]]:
@@ -189,8 +164,11 @@ def generated_subsemigroup(S: FiniteSemigroup, seed) -> tuple[int, ...]:
 
 
 def enumerate_subsemigroups(S: FiniteSemigroup, cap: int = SUBSEMIGROUP_CAP) -> list[tuple[int, ...]]:
-    """All nonempty multiplication-closed subsets, lexicographically sorted."""
+    """All nonempty multiplication-closed subsets, lexicographically sorted.
+
+    The cap can be raised up to SUBSEMIGROUP_HARD_CAP, no further."""
     n = S.order
+    cap = min(cap, SUBSEMIGROUP_HARD_CAP)
     if n > cap:
         raise OrderCapExceeded(f"order {n} exceeds the subsemigroup cap {cap}")
     out = []
@@ -320,8 +298,11 @@ def congruence_witness(S: FiniteSemigroup, p: Partition):
 
 
 def enumerate_congruences(S: FiniteSemigroup, cap: int = CONGRUENCE_CAP) -> list[Partition]:
-    """All congruences of S, including the identity and universal partitions."""
+    """All congruences of S, including the identity and universal partitions.
+
+    The cap can be raised up to CONGRUENCE_HARD_CAP, no further."""
     n = S.order
+    cap = min(cap, CONGRUENCE_HARD_CAP)
     if n > cap:
         raise OrderCapExceeded(f"order {n} exceeds the congruence cap {cap}")
     out = []
@@ -489,27 +470,3 @@ def band_class(S: FiniteSemigroup) -> BandClassification:
         is_right_normal=right_normal,
         is_normal=normal,
     )
-
-
-def band_j_class(E: FiniteSemigroup, e: int) -> tuple[int, ...]:
-    """The J-class of e inside a band."""
-    p = band_j_partition(E)
-    if not 0 <= e < E.order:
-        raise OutOfRange(e, e, e)
-    return p.classes[p.class_of[e]]
-
-
-def band_j_partition(E: FiniteSemigroup) -> Partition:
-    """All J-classes of a band at once, via principal two-sided ideals."""
-    t = E.table
-    n = E.order
-    if any(t[x][x] != x for x in range(n)):
-        raise NotABand(f"element {next(x for x in range(n) if t[x][x] != x)} is not idempotent")
-    ideals = []
-    for x in range(n):
-        members = {x}
-        members.update(t[x][b] for b in range(n))
-        members.update(t[a][x] for a in range(n))
-        members.update(t[a][t[x][b]] for a in range(n) for b in range(n))
-        ideals.append(frozenset(members))
-    return partition_from_class_of(ideals)

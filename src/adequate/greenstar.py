@@ -1,6 +1,10 @@
 """Starred and classical Green's relations, and the classification predicates
 built from them (abundant, adequate, quasi-adequate, ample, IC, bountiful).
 
+R and L come from principal one-sided ideals over S^1, D is their join, and
+J = D because the semigroups are finite; the J-classes of a band, which the
+relation delta is taken over, are therefore its D-classes.
+
 R* relates a and b when left multiplier equalities agree: xa = ya iff xb = yb
 for all x, y in S^1; L* is the right-multiplication dual. That holds exactly
 when the maps x -> xa and x -> xb on S^1 have the same kernel, so each element
@@ -18,10 +22,9 @@ from .core import (
     CONGRUENCE_CAP,
     FiniteSemigroup,
     Partition,
-    band_j_partition,
-    congruence_witness,
     enumerate_congruences,
     generated_subsemigroup,
+    is_morphism,
     meet,
     join,
     partition_from_class_of,
@@ -32,9 +35,12 @@ from .core import (
 from .errors import (
     InvariantBroken,
     NoMinimum,
+    NotABand,
+    NotACongruence,
     NotAdequate,
     NotAMorphism,
     NotQuasiAdequate,
+    OutOfRange,
 )
 
 
@@ -74,25 +80,36 @@ class GreenRelations:
 
 @lru_cache(maxsize=None)
 def green_relations(S: FiniteSemigroup) -> GreenRelations:
-    """Classical Green's relations via principal ideals over S^1."""
+    """Classical Green's relations: R and L by principal one-sided ideals over
+    S^1, H = R meet L, D = R join L, and J = D (finite)."""
     n = S.order
     t = S.table
     right_ideals = []
     left_ideals = []
-    two_sided = []
     for a in range(n):
-        aS = {a} | {t[a][s] for s in range(n)}
-        Sa = {a} | {t[s][a] for s in range(n)}
-        SaS = set(aS) | Sa
-        for s in aS:
-            SaS.update(t[u][s] for u in range(n))
-        right_ideals.append(frozenset(aS))
-        left_ideals.append(frozenset(Sa))
-        two_sided.append(frozenset(SaS))
+        right_ideals.append(frozenset({a} | {t[a][s] for s in range(n)}))
+        left_ideals.append(frozenset({a} | {t[s][a] for s in range(n)}))
     r = partition_from_class_of(right_ideals)
     l = partition_from_class_of(left_ideals)
-    return GreenRelations(r=r, l=l, h=meet(r, l), d=join(r, l),
-                          j=partition_from_class_of(two_sided))
+    d = join(r, l)
+    return GreenRelations(r=r, l=l, h=meet(r, l), d=d, j=d)
+
+
+def band_j_partition(E: FiniteSemigroup) -> Partition:
+    """All J-classes of a band at once: its D-classes, since J = D (finite)."""
+    t = E.table
+    n = E.order
+    if any(t[x][x] != x for x in range(n)):
+        raise NotABand(f"element {next(x for x in range(n) if t[x][x] != x)} is not idempotent")
+    return green_relations(E).d
+
+
+def band_j_class(E: FiniteSemigroup, e: int) -> tuple[int, ...]:
+    """The J-class of e inside a band."""
+    p = band_j_partition(E)
+    if not 0 <= e < E.order:
+        raise OutOfRange(e, e, e)
+    return p.classes[p.class_of[e]]
 
 
 @dataclass(frozen=True)
@@ -344,11 +361,11 @@ def delta(S: FiniteSemigroup) -> DeltaResult:
                 raise InvariantBroken(f"relation not transitive at ({a},{b},{c})")
 
     part = partition_from_pairs(n, pairs)
-    w = congruence_witness(S, part)
-    if w is None:
+    try:
         Q, nat = quotient(S, part)
-        return DeltaResult(frozenset(pairs), part, True, Q, nat)
-    return DeltaResult(frozenset(pairs), part, False, None, None)
+    except NotACongruence:
+        return DeltaResult(frozenset(pairs), part, False, None, None)
+    return DeltaResult(frozenset(pairs), part, True, Q, nat)
 
 
 def is_admissible(S: FiniteSemigroup, T: FiniteSemigroup, phi) -> bool:
@@ -356,10 +373,9 @@ def is_admissible(S: FiniteSemigroup, T: FiniteSemigroup, phi) -> bool:
     phi = tuple(phi)
     if len(phi) != S.order or any(not 0 <= y < T.order for y in phi):
         raise NotAMorphism((0, 0))
-    for a in range(S.order):
-        for b in range(S.order):
-            if phi[S.table[a][b]] != T.table[phi[a]][phi[b]]:
-                raise NotAMorphism((a, b))
+    bad = is_morphism(S, T, phi)
+    if bad is not None:
+        raise NotAMorphism(bad)
     ss = star_relations(S)
     st = star_relations(T)
     for cls in ss.rstar.classes:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 
 
-def _with_identity(table):
+def with_identity(table):
+    """The table of S^1: a fresh identity appended as the last element."""
     n = len(table)
     out = [list(row) + [a] for a, row in enumerate(table)]
     out.append(list(range(n + 1)))
@@ -41,7 +42,7 @@ def _pairwise_classes(n, related):
 
 def rstar_classes(table):
     """R*-classes by the quantifier: a R* b iff xa = ya <=> xb = yb for all x, y in S^1."""
-    t1 = _with_identity(table)
+    t1 = with_identity(table)
     m = range(len(t1))
 
     def related(a, b):
@@ -52,7 +53,7 @@ def rstar_classes(table):
 
 def lstar_classes(table):
     """L*-classes by the quantifier: a L* b iff ax = ay <=> bx = by for all x, y in S^1."""
-    t1 = _with_identity(table)
+    t1 = with_identity(table)
     m = range(len(t1))
 
     def related(a, b):
@@ -71,6 +72,14 @@ def green_l_classes(table):
     n = len(table)
     keys = [frozenset({a} | {table[s][a] for s in range(n)}) for a in range(n)]
     return _classes_by_key(n, keys)
+
+
+def j_classes(table):
+    """Green J-classes by principal two-sided ideals: a J b iff S^1 a S^1 = S^1 b S^1."""
+    t1 = with_identity(table)
+    m = range(len(t1))
+    keys = [frozenset(t1[u][t1[a][v]] for u in m for v in m) for a in range(len(table))]
+    return _classes_by_key(len(table), keys)
 
 
 def is_associative(table) -> bool:
@@ -285,15 +294,21 @@ def semidirect_by_ambient(s0_table, band_table, e0_in_band, act, s0_labels, band
 # --- structure conditions (3) and (4) by pairwise scan ----------------------------
 
 
-def _structure_frame(si):
-    """x -> x+ and x -> x* in s0, and the band classes L_{x+} in I and R_{x*} in
-    Lambda, recomputed from the raw tables of the structure data ``si``."""
-    s0 = si.s0.table
+def _plus_star(s0):
+    """x -> x+ and x -> x* in the adequate semigroup with raw table s0."""
     plus, star = {}, {}
     for classes, target in ((rstar_classes(s0), plus), (lstar_classes(s0), star)):
         for cls in classes:
             idem = [u for u in cls if s0[u][u] == u]  # exactly one: s0 is adequate
             target.update((x, idem[0]) for x in cls)
+    return plus, star
+
+
+def _structure_frame(si):
+    """x -> x+ and x -> x* in s0, and the band classes L_{x+} in I and R_{x*} in
+    Lambda, recomputed from the raw tables of the structure data ``si``."""
+    s0 = si.s0.table
+    plus, star = _plus_star(s0)
     l_class = {x: c for c in green_l_classes(si.i_band.table) for x in c}
     r_class = {x: c for c in green_r_classes(si.lambda_band.table) for x in c}
     l_plus = [l_class[si.e0_in_i[plus[x]]] for x in range(len(s0))]
@@ -343,3 +358,48 @@ def condition_pairwise(si, k):
                             if key1 == other1 and key2 != other2:
                                 return (x, x1, x2, c, e1, f1, e2, f2)
     return None
+
+
+# --- semidirect condition (2) by pairwise scan ----------------------------------
+
+
+def action_condition2_keys(at):
+    """keys(x, x1, e1) -> (key1, key2) of the pair (x1, e1), e1 in L_{x1+}, in
+    semidirect condition (2): key1 = (x+ (x.e1), x x1) and key2 = (x*.e1, x* x1).
+
+    The condition holds when, at every x, pairs with equal key1 have equal key2.
+    """
+    plus, star, l_plus = _action_frame(at)
+    t0, ti, act, ei = at.s0.table, at.i_band.table, at.act, at.e0_in_i
+
+    def keys(x, x1, e1):
+        xp, xs = ei[plus[x]], star[x]
+        return (ti[xp][act[(x, e1)]], t0[x][x1]), (act[(xs, e1)], t0[xs][x1])
+
+    return keys
+
+
+def action_condition2_pairwise(at):
+    """Semidirect condition (2) by a scan over every two pairs (x1, e1),
+    (x2, e2): the first violation as (x, x1, x2, e1, e2), or None."""
+    _, _, l_plus = _action_frame(at)
+    keys = action_condition2_keys(at)
+    n0 = len(at.s0.table)
+    for x in range(n0):
+        for x1 in range(n0):
+            for x2 in range(n0):
+                for e1 in l_plus[x1]:
+                    key1, key2 = keys(x, x1, e1)
+                    for e2 in l_plus[x2]:
+                        other1, other2 = keys(x, x2, e2)
+                        if key1 == other1 and key2 != other2:
+                            return (x, x1, x2, e1, e2)
+    return None
+
+
+def _action_frame(at):
+    """x -> x+ and x -> x* in s0, and the band classes L_{x+} in I, recomputed
+    from the raw tables of the action data ``at``."""
+    plus, star = _plus_star(at.s0.table)
+    l_class = {x: c for c in green_l_classes(at.i_band.table) for x in c}
+    return plus, star, [l_class[at.e0_in_i[plus[x]]] for x in range(at.s0.order)]

@@ -147,6 +147,27 @@ class TestCaps:
         assert code == 0
         assert "1 adequate transversal(s)" in out
 
+    def test_transversal_search_stops_at_hard_cap(self, capsys, tmp_path):
+        from adequate.core import validate_table
+        from adequate.fileio import serialize
+
+        path = tmp_path / "chain13.json"
+        serialize(validate_table([[min(a, b) for b in range(13)] for a in range(13)]),
+                  path, name="chain13")
+        code, _, err = run(capsys, "--max-order", "40", "transversals", str(path))
+        assert code == 2
+        assert "cap 12" in err
+
+    def test_gamma_skipped_above_hard_cap(self, capsys, tmp_path):
+        from adequate.catalog import catalog
+        from adequate.fileio import serialize
+
+        path = tmp_path / "chain11.json"
+        serialize(catalog("chain(11)"), path, name="chain11")
+        code, out, _ = run(capsys, "--max-order", "40", "analyze", str(path))
+        assert code == 0
+        assert "gamma skipped: order 11 above cap 10" in out
+
 
 class TestCensus:
     def test_order_two(self, capsys):

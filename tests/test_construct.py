@@ -377,6 +377,45 @@ class TestBuildSemidirect:
         assert report.entry("condition_1").passed is False
 
 
+def left_ample_actions(admissible_corpus):
+    """The action data extracted from every instance the semidirect builder
+    takes: left adequate, quasi-adequate, with a left ample transversal."""
+    for name, S, D in admissible_corpus:
+        prof = abundance_profile(S)
+        if not (prof.is_left_adequate and prof.is_quasi_adequate):
+            continue
+        sprof = abundance_profile(restrict(S, D.s0)[0])
+        if sprof.is_adequate and sprof.is_left_ample:
+            yield extract_action(S, D)
+
+
+class TestCondition2AgainstPairwiseOracle:
+    @staticmethod
+    def single_entry_mutations(at):
+        """Every action that differs from at in one value."""
+        for key, value in at.act.items():
+            for other in range(at.i_band.order):
+                if other != value:
+                    yield dataclasses.replace(at, act={**at.act, key: other})
+
+    def test_extracted_actions_and_their_mutations(self, admissible_corpus):
+        # same verdict as the pairwise scan, and a failure names two pairs with
+        # equal first keys and different second keys
+        bases = list(left_ample_actions(admissible_corpus))
+        lawful_failures = 0
+        for at in bases + [m for base in bases for m in self.single_entry_mutations(base)]:
+            report = validate_action_table(at)
+            entry = report.entry("condition_2")
+            assert entry.passed == (oracles.action_condition2_pairwise(at) is None)
+            if not entry.passed:
+                x, x1, x2, e1, e2 = entry.witness
+                keys = oracles.action_condition2_keys(at)
+                (key1, key2), (other1, other2) = keys(x, x1, e1), keys(x, x2, e2)
+                assert key1 == other1 and key2 != other2, entry.witness
+                lawful_failures += report.ok("action_associative", "action_distributive")
+        assert bases and lawful_failures > 0
+
+
 class TestSemidirectCarrier:
     """The directly built carrier against the ambient product cut down to it."""
 
@@ -394,14 +433,8 @@ class TestSemidirectCarrier:
 
     def test_every_left_ample_admissible_instance(self, admissible_corpus):
         done = 0
-        for name, S, D in admissible_corpus:
-            prof = abundance_profile(S)
-            if not (prof.is_left_adequate and prof.is_quasi_adequate):
-                continue
-            sprof = abundance_profile(restrict(S, D.s0)[0])
-            if not (sprof.is_adequate and sprof.is_left_ample):
-                continue
-            self.assert_matches_ambient(extract_action(S, D))
+        for at in left_ample_actions(admissible_corpus):
+            self.assert_matches_ambient(at)
             done += 1
         assert done > 0
 

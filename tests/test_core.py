@@ -7,9 +7,7 @@ from adequate.catalog import catalog
 from adequate.core import (
     FiniteSemigroup,
     Partition,
-    adjoin_identity,
     band_class,
-    band_j_class,
     direct_product,
     enumerate_congruences,
     enumerate_subsemigroups,
@@ -30,6 +28,7 @@ from adequate.errors import (
     OrderCapExceeded,
     OutOfRange,
 )
+from adequate.greenstar import band_j_class
 
 CHAIN2 = [[0, 0], [0, 1]]
 LZ2 = [[0, 0], [1, 1]]
@@ -64,30 +63,6 @@ class TestValidateTable:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             validate_table([[0, 2], [0, 1]])
-
-    def test_identity_flag_checked(self):
-        with pytest.raises(ValueError):
-            FiniteSemigroup(order=2, table=((0, 0), (1, 1)), adjoined_identity=0)
-
-
-class TestAdjoinIdentity:
-    def test_left_zero_gets_identity(self):
-        S1 = adjoin_identity(validate_table(LZ2))
-        assert S1.order == 3
-        assert S1.adjoined_identity == 2
-        assert all(S1.mul(2, x) == x == S1.mul(x, 2) for x in range(3))
-
-    def test_trivial_becomes_two_chain(self):
-        S1 = adjoin_identity(validate_table([[0]]))
-        assert S1.table == ((0, 0), (0, 1))
-
-    def test_two_chain_becomes_three_chain(self):
-        S1 = adjoin_identity(validate_table(CHAIN2))
-        assert find_isomorphism(S1, catalog("chain(3)")) is not None
-
-    def test_always_fresh_even_for_monoids(self):
-        S1 = adjoin_identity(validate_table(C2))
-        assert S1.order == 3
 
 
 class TestGeneratedSubsemigroup:
@@ -124,6 +99,8 @@ class TestEnumerateSubsemigroups:
     def test_cap(self):
         with pytest.raises(OrderCapExceeded):
             enumerate_subsemigroups(catalog("chain(3)"), cap=2)
+        with pytest.raises(OrderCapExceeded, match="cap 12"):
+            enumerate_subsemigroups(validate_table([[a] * 13 for a in range(13)]), cap=40)
 
 
 class TestCongruences:
@@ -139,6 +116,8 @@ class TestCongruences:
     def test_cap(self):
         with pytest.raises(OrderCapExceeded):
             enumerate_congruences(catalog("chain(3)"), cap=2)
+        with pytest.raises(OrderCapExceeded, match="cap 10"):
+            enumerate_congruences(catalog("chain(11)"), cap=40)
 
     def test_matches_pair_closure_oracle_up_to_order_4(self):
         for S in census_pool(4):

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import census_pool, catalog_pool
 from adequate.catalog import catalog
+from adequate.census import band_tables
 from adequate.core import (
-    adjoin_identity,
+    direct_product,
     enumerate_congruences,
     find_isomorphism,
     quotient,
@@ -16,6 +17,7 @@ from adequate.core import (
 from adequate.errors import NotAdequate, NotAMorphism, NotQuasiAdequate
 from adequate.greenstar import (
     abundance_profile,
+    band_j_partition,
     delta,
     green_relations,
     is_admissible,
@@ -83,14 +85,14 @@ class TestStarRelations:
         # transfers to xe = ye; exhaustive over the order <= 3 census
         for S in census_pool(3):
             sr = star_relations(S)
-            S1 = adjoin_identity(S)
-            m = S1.order
+            t1 = oracles.with_identity(S.table)
+            m = range(len(t1))
             for e in S.idempotents():
                 for a in range(S.order):
                     chr_holds = S.mul(e, a) == a and all(
-                        S1.mul(x, e) == S1.mul(y, e)
-                        for x in range(m) for y in range(m)
-                        if S1.mul(x, a) == S1.mul(y, a)
+                        t1[x][e] == t1[y][e]
+                        for x in m for y in m
+                        if t1[x][a] == t1[y][a]
                     )
                     assert chr_holds == sr.rstar.same(e, a)
 
@@ -126,6 +128,22 @@ class TestGreenRelations:
             for b in reg:
                 assert sr.rstar.same(a, b) == g.r.same(a, b)
                 assert sr.lstar.same(a, b) == g.l.same(a, b)
+
+    def test_j_against_two_sided_ideal_oracle(self):
+        # J = D in a finite semigroup: the library reads J off D, the oracle
+        # builds every principal two-sided ideal S^1 a S^1
+        base = catalog("sym_inv(3)")
+        instances = list(census_pool(4)) + [S for _, S in catalog_pool()] + [
+            direct_product(base, catalog(key)) for key in ("chain(1)", "left_zero(2)")
+        ]
+        for S in instances:
+            assert list(green_relations(S).j.classes) == oracles.j_classes(S.table)
+
+    def test_band_j_partition_against_two_sided_ideal_oracle(self):
+        for n in range(1, 5):
+            for table in band_tables(n):
+                E = validate_table(table)
+                assert list(band_j_partition(E).classes) == oracles.j_classes(table)
 
     def test_star_restriction_exhaustive_through_order_4(self):
         for S in census_pool(4):
