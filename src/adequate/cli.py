@@ -73,6 +73,11 @@ def _classes(partition):
     return [list(c) for c in partition.classes]
 
 
+def _cap(args, default: int) -> int:
+    """The --max-order setting, or ``default`` when it is not given; 0 is a setting."""
+    return default if args.max_order is None else args.max_order
+
+
 def cmd_analyze(args) -> tuple[int, dict]:
     sf = parse_semigroup(args.file)
     S = sf.semigroup
@@ -102,7 +107,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
             "is_congruence": d.is_congruence,
             "quotient_order": d.quotient.order if d.quotient else None,
         }
-        cap = min(args.max_order or CONGRUENCE_CAP, CONGRUENCE_HARD_CAP)
+        cap = min(_cap(args, CONGRUENCE_CAP), CONGRUENCE_HARD_CAP)
         if S.order <= cap:
             gamma = min_adequate_admissible_congruence(S, cap=cap)
             report["gamma_classes"] = _classes(gamma)
@@ -118,7 +123,7 @@ def cmd_analyze(args) -> tuple[int, dict]:
 def cmd_transversals(args) -> tuple[int, dict]:
     sf = parse_semigroup(args.file)
     S = sf.semigroup
-    cap = args.max_order or SUBSEMIGROUP_CAP
+    cap = _cap(args, SUBSEMIGROUP_CAP)
     found = find_adequate_transversals(S, cap=cap)
     items = []
     failed = False
@@ -254,7 +259,7 @@ def _match_transversals(sp, d_l, d_r):
 
 def cmd_census(args) -> tuple[int, dict]:
     n = args.order
-    cap = args.max_order or census_mod.CENSUS_CAP
+    cap = _cap(args, census_mod.CENSUS_CAP)
     counts = {
         "total": 0,
         "abundant": 0,

@@ -3,6 +3,13 @@
 Elements are dense indices 0..n-1 and ``table[a][b]`` is the product a*b.
 Labels are display-only. Every value defined here is immutable and hashable,
 which lets the analysis functions layered on top be memoised by value.
+
+A table from outside (``FiniteSemigroup(...)``, ``validate_table``, a file,
+the census, the catalog, a builder's output) is checked for shape, range and
+associativity. ``restrict``, ``quotient`` and ``direct_product`` check shape
+and range only: a restriction of an associative table to a closed subset, its
+quotient by a congruence and a direct product of two associative tables are
+associative, so the O(n^3) scan would prove nothing new.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import (
     NonSquare,
@@ -27,7 +35,7 @@ SUBSEMIGROUP_HARD_CAP = 12
 CONGRUENCE_HARD_CAP = 10
 
 
-def _validate(order: int, table) -> None:
+def _check_shape(order: int, table) -> None:
     if order <= 0:
         raise NonSquare("a semigroup needs at least one element")
     if len(table) != order:
@@ -40,32 +48,61 @@ def _validate(order: int, table) -> None:
             v = row[b]
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < order:
                 raise OutOfRange(a, b, v)
-    for a in range(order):
-        ta = table[a]
-        for b in range(order):
-            ab = ta[b]
-            tab = table[ab]
-            tb = table[b]
-            for c in range(order):
-                if tab[c] != ta[tb[c]]:
-                    raise NotAssociative((a, b, c))
+
+
+def _check_associative(table) -> None:
+    """Raise NotAssociative at the first (a, b, c) in lexicographic order
+    with (ab)c != a(bc); the table is a square tuple of tuples."""
+    n = len(table)
+    if n > 1:
+        # row (ab)c over all c against a(bc) gathered in one C call; rescan only a row that differs
+        getters = [itemgetter(*row) for row in table]
+        bad = ((a, b) for a, ta in enumerate(table) for b, g in enumerate(getters)
+               if g(ta) != table[ta[b]])
+    else:
+        bad = [(0, 0)]  # itemgetter with one key returns a scalar, so scan the one row
+    for a, b in bad:
+        ta, tab, tb = table[a], table[table[a][b]], table[b]
+        for c in range(n):
+            if tab[c] != ta[tb[c]]:
+                raise NotAssociative((a, b, c))
 
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """A finite semigroup: a square, associative table over element indices."""
+    """A finite semigroup: a square, associative table over element indices.
+
+    The constructor checks shape, range and associativity. Only ``restrict``,
+    ``quotient`` and ``direct_product`` use ``_from_closed``, which skips the
+    associativity scan: their tables inherit it from associative inputs.
+    """
 
     order: int
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        self._freeze()
+        _check_associative(self.table)
+
+    @classmethod
+    def _from_closed(cls, order: int, table, labels=None) -> "FiniteSemigroup":
+        """A semigroup on a table that is associative by construction."""
+        S = object.__new__(cls)
+        object.__setattr__(S, "order", order)
+        object.__setattr__(S, "table", table)
+        object.__setattr__(S, "labels", labels)
+        S._freeze()
+        return S
+
+    def _freeze(self) -> None:
+        """Make the table and labels tuples and check shape and range."""
         object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
             if len(self.labels) != self.order:
                 raise ValueError("labels must match the order")
-        _validate(self.order, self.table)
+        _check_shape(self.order, self.table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -117,7 +154,7 @@ def restrict(S: FiniteSemigroup, subset) -> tuple[FiniteSemigroup, tuple[int, ..
                 raise NotClosed(a, b, p)
     table = tuple(tuple(back[S.table[a][b]] for b in to_parent) for a in to_parent)
     labels = None if S.labels is None else tuple(S.labels[p] for p in to_parent)
-    return FiniteSemigroup(order=len(to_parent), table=table, labels=labels), to_parent
+    return FiniteSemigroup._from_closed(len(to_parent), table, labels), to_parent
 
 
 def direct_product(S: FiniteSemigroup, T: FiniteSemigroup) -> FiniteSemigroup:
@@ -128,7 +165,7 @@ def direct_product(S: FiniteSemigroup, T: FiniteSemigroup) -> FiniteSemigroup:
         tuple(idx[(S.table[a][c], T.table[b][d])] for (c, d) in pairs) for (a, b) in pairs
     )
     labels = tuple(f"({S.label(a)},{T.label(b)})" for (a, b) in pairs)
-    return FiniteSemigroup(order=len(pairs), table=table, labels=labels)
+    return FiniteSemigroup._from_closed(len(pairs), table, labels)
 
 
 def relabel_table(table, perm) -> tuple[tuple[int, ...], ...]:
@@ -340,8 +377,7 @@ def quotient(S: FiniteSemigroup, p: Partition) -> tuple[FiniteSemigroup, tuple[i
     labels = None
     if S.labels is not None:
         labels = tuple("{" + ",".join(S.labels[x] for x in cls) + "}" for cls in p.classes)
-    Q = FiniteSemigroup(order=len(reps), table=table, labels=labels)
-    return Q, p.class_of
+    return FiniteSemigroup._from_closed(len(reps), table, labels), p.class_of
 
 
 # --- isomorphism -------------------------------------------------------------

@@ -15,6 +15,7 @@ in the test suite as the oracle this is checked against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -224,30 +225,12 @@ def _generated_below(S: FiniteSemigroup, e: int) -> tuple[int, ...]:
 
 
 def _ic_bijection_exists(S: FiniteSemigroup, a: int, dom, cod) -> bool:
-    # need a bijection alpha with x*a = a*(x alpha) for all x in dom
-    if len(dom) != len(cod):
-        return False
+    # need a bijection alpha: dom -> cod with x*a = a*(x alpha). x may go to z
+    # exactly when x*a = a*z, so the candidate pairs form one complete bipartite
+    # block per product value, and a bijection exists iff dom and cod reach
+    # each value equally often
     t = S.table
-    cands = []
-    for x in dom:
-        xs = [z for z in cod if t[a][z] == t[x][a]]
-        if not xs:
-            return False
-        cands.append(xs)
-    used: set[int] = set()
-
-    def match(i: int) -> bool:
-        if i == len(cands):
-            return True
-        for z in cands[i]:
-            if z not in used:
-                used.add(z)
-                if match(i + 1):
-                    return True
-                used.discard(z)
-        return False
-
-    return match(0)
+    return Counter(t[x][a] for x in dom) == Counter(t[a][z] for z in cod)
 
 
 def _idempotent_connected(S, E, r_idems, l_idems) -> bool:

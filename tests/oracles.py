@@ -82,12 +82,40 @@ def j_classes(table):
     return _classes_by_key(len(table), keys)
 
 
-def is_associative(table) -> bool:
+def first_non_associative(table):
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc), or None."""
     n = len(table)
-    return all(
-        table[table[x][y]][z] == table[x][table[y][z]]
-        for x in range(n) for y in range(n) for z in range(n)
-    )
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def is_associative(table) -> bool:
+    return first_non_associative(table) is None
+
+
+def ic_bijection_backtrack(table, a, dom, cod) -> bool:
+    """Whether some bijection alpha: dom -> cod has x.a = a.(x alpha) for all
+    x in dom, by trying the images of dom in order with backtracking."""
+    if len(dom) != len(cod):
+        return False
+    used: set = set()
+
+    def extend(i: int) -> bool:
+        if i == len(dom):
+            return True
+        for z in cod:
+            if z not in used and table[a][z] == table[dom[i]][a]:
+                used.add(z)
+                if extend(i + 1):
+                    return True
+                used.discard(z)
+        return False
+
+    return extend(0)
 
 
 def all_semigroup_tables(n):

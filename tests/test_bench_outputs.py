@@ -1,9 +1,10 @@
 """Output guard: the benchmark's pinned digests, recomputed in the test suite.
 
 `perfbench/expected.json` pins a digest of every census item and ladder rung
-the benchmark runs. Recomputing the census items and the two smallest rungs
-through `perfbench/workloads.py` catches a change in any analysed output
-before a benchmark run does. The file is only read.
+the benchmark runs. Recomputing the census items and all four rungs through
+`perfbench/workloads.py` catches a change in any analysed output before a
+benchmark run does; rung136 and rung238 run `quotient` and `direct_product`
+at full size. The file is only read.
 """
 
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-GUARDED_RUNGS = ("rung34", "rung68")
+GUARDED_RUNGS = ("rung34", "rung68", "rung136", "rung238")
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def test_census_items_match_pinned_digests(workloads, expected):
     assert roundtrips_ok == want["checks"]["roundtrips_ok"]
 
 
-def test_small_ladder_rungs_match_pinned_digests(workloads, expected):
+def test_ladder_rungs_match_pinned_digests(workloads, expected):
     state = workloads.ladder_setup()
     base = state["base"]
     done = []

@@ -168,6 +168,17 @@ class TestCaps:
         assert code == 0
         assert "gamma skipped: order 11 above cap 10" in out
 
+    @pytest.mark.parametrize("cap", ["0", "1"])
+    def test_max_order_zero_is_a_cap_for_transversals(self, capsys, cap):
+        code, out, err = run(capsys, "--max-order", cap, "transversals", str(DATA / "rect22.json"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: order 4 exceeds the subsemigroup cap {cap}"]
+
+    def test_max_order_zero_is_a_cap_for_gamma(self, capsys):
+        code, out, _ = run(capsys, "--max-order", "0", "analyze", str(DATA / "rect22.json"))
+        assert code == 0
+        assert "gamma skipped: order 4 above cap 0" in out
+
 
 class TestCensus:
     def test_order_two(self, capsys):

@@ -7,12 +7,13 @@ import pytest
 import oracles
 from conftest import admissible_pool
 from adequate.catalog import catalog
-from adequate.core import band_class, find_isomorphism, restrict, validate_table
+from adequate.core import FiniteSemigroup, band_class, find_isomorphism, restrict, validate_table
 from adequate.errors import (
     ActionLawViolation,
     AxiomViolation,
     BandNotNormal,
     ConditionViolation,
+    InvariantBroken,
     NotAdequate,
     NotLeftAdequate,
     NotQuasiIdeal,
@@ -225,6 +226,35 @@ class TestBuildW:
             assert b.element_legend[d.e_of[i]] == (e, sp.plus[x], sp.plus[x])
             assert b.element_legend[d.bar_of[i]] == (sp.plus[x], x, sp.star[x])
             assert b.element_legend[d.f_of[i]] == (sp.star[x], sp.star[x], f)
+
+
+class TestNonAssociativeSeed:
+    """A seed table that skipped the associativity scan is still refused."""
+
+    # the group {0, 2} with an identity 1 adjoined; 2.2 = 0 becomes 2.2 = 1 in the
+    # broken copy, so (0.2).2 = 1 but 0.(2.2) = 0
+    Z2_WITH_ONE = ((0, 0, 2), (0, 1, 2), (2, 2, 0))
+    BROKEN = ((0, 0, 2), (0, 1, 2), (2, 2, 1))
+
+    def inputs(self):
+        S = validate_table(self.Z2_WITH_ONE)
+        D = verify_adequate_transversal(S, (0, 1, 2))
+        bad = FiniteSemigroup._from_closed(3, self.BROKEN)
+        assert oracles.first_non_associative(bad.table) == (0, 2, 2)
+        return (dataclasses.replace(extract_structure(S, D), s0=bad),
+                dataclasses.replace(extract_action(S, D), s0=bad))
+
+    def test_build_w_refuses_it(self):
+        si, _ = self.inputs()
+        with pytest.raises(InvariantBroken) as exc:
+            build_w(si)
+        assert str(exc.value) == "(ab)* != (a*b)* at (2,2)"
+
+    def test_build_semidirect_refuses_it(self):
+        _, at = self.inputs()
+        with pytest.raises(InvariantBroken) as exc:
+            build_semidirect(at)
+        assert str(exc.value) == "(ab)* != (a*b)* at (2,2)"
 
 
 class TestBuildQuasiIdeal:

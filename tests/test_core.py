@@ -1,8 +1,13 @@
+import ast
+import itertools
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import census_pool
+from conftest import catalog_pool, census_pool
 from adequate.catalog import catalog
 from adequate.core import (
     FiniteSemigroup,
@@ -15,8 +20,10 @@ from adequate.core import (
     generated_subsemigroup,
     identity_partition,
     meet,
+    partition_from_class_of,
     partition_from_classes,
     quotient,
+    restrict,
     universal_partition,
     validate_table,
 )
@@ -63,6 +70,94 @@ class TestValidateTable:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             validate_table([[0, 2], [0, 1]])
+
+
+def assert_same_verdict_as_triple_loop(table):
+    want = oracles.first_non_associative(table)
+    try:
+        validate_table(table)
+    except NotAssociative as exc:
+        assert exc.witness == want, table
+    else:
+        assert want is None, table
+
+
+class TestAssociativityWitness:
+    """The row-at-a-time check against the plain (a, b, c) triple loop."""
+
+    def test_every_table_of_order_at_most_two(self):
+        tables = [((0,),)] + [
+            (flat[:2], flat[2:]) for flat in itertools.product(range(2), repeat=4)
+        ]
+        for table in tables:
+            assert_same_verdict_as_triple_loop(table)
+        assert sum(oracles.first_non_associative(t) is None for t in tables) == 9
+
+    def test_single_cell_mutants_of_census_classes(self):
+        mutants = 0
+        for S in census_pool(4):
+            n = S.order
+            for a, b in itertools.product(range(n), repeat=2):
+                for v in range(n):
+                    if v != S.table[a][b]:
+                        table = [list(row) for row in S.table]
+                        table[a][b] = v
+                        assert_same_verdict_as_triple_loop(table)
+                        mutants += 1
+        assert mutants == 5 * 4 + 24 * 18 + 188 * 48
+
+    def test_seeded_random_tables(self):
+        rng = random.Random(20100)
+        for _ in range(3000):
+            n = rng.randint(3, 6)
+            assert_same_verdict_as_triple_loop(
+                [[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "adequate"
+CLOSURE_CONSTRUCTIONS = {"restrict", "direct_product", "quotient"}
+
+
+def _ladder_inputs():
+    """The rung34 and rung68 products of the benchmark's ladder."""
+    base = catalog("sym_inv(3)")
+    return [direct_product(base, catalog(key)) for key in ("chain(1)", "left_zero(2)")]
+
+
+class TestTrustedConstructor:
+    def test_only_closure_constructions_skip_associativity(self):
+        refs = []  # (file, innermost enclosing function) of each use of _from_closed
+
+        def visit(node, path, fn):
+            for child in ast.iter_child_nodes(node):
+                if getattr(child, "attr", getattr(child, "id", None)) == "_from_closed":
+                    refs.append((path.name, fn))
+                inner = child.name if isinstance(child, ast.FunctionDef) else fn
+                visit(child, path, inner)
+
+        for path in sorted(SRC.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path, None)
+        assert sorted(refs) == [("core.py", name) for name in sorted(CLOSURE_CONSTRUCTIONS)]
+
+    def test_outputs_equal_fully_validated_semigroups(self):
+        outputs = []
+        for S in [S for _, S in catalog_pool()] + _ladder_inputs():
+            for seed in ([], *((x,) for x in range(min(S.order, 5))), S.idempotents()):
+                sub = generated_subsemigroup(S, seed) if seed else range(S.order)
+                outputs.append(restrict(S, sub)[0])
+            congruences = (enumerate_congruences(S) if S.order <= 7
+                           else [identity_partition(S.order), universal_partition(S.order)])
+            outputs += [quotient(S, p)[0] for p in congruences]
+            if S.order <= 7:
+                outputs.append(direct_product(S, catalog("left_zero(2)")))
+        for P in _ladder_inputs():
+            # the kernel of the projection onto sym_inv(3) is a congruence
+            width = P.order // 34
+            outputs.append(quotient(P, partition_from_class_of(x // width for x in range(P.order)))[0])
+        for X in outputs:
+            Y = FiniteSemigroup(order=X.order, table=X.table, labels=X.labels)
+            assert X == Y and hash(X) == hash(Y)
+        assert len(outputs) == 149
 
 
 class TestGeneratedSubsemigroup:

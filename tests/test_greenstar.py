@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from adequate import greenstar
 from conftest import census_pool, catalog_pool
 from adequate.catalog import catalog
 from adequate.census import band_tables
@@ -243,6 +244,32 @@ class TestAbundanceProfile:
         if p.is_abundant:
             assert all(w is not None for w in p.rstar_witness)
             assert all(w is not None for w in p.lstar_witness)
+
+    def test_ic_bijection_against_backtracking_oracle(self, monkeypatch):
+        pool = census_pool(4) + tuple(S for _, S in catalog_pool())
+        reached = []
+        by_counts = greenstar._ic_bijection_exists
+
+        def recording(S, a, dom, cod):
+            verdict = by_counts(S, a, dom, cod)
+            reached.append((S.table, a, tuple(dom), tuple(cod), verdict))
+            return verdict
+
+        monkeypatch.setattr(greenstar, "_ic_bijection_exists", recording)
+        for S in pool:
+            abundance_profile.__wrapped__(S)
+        # abundance_profile stops at the first bijection found, so also try every
+        # element against every pair of idempotents, which reaches failures too
+        for S in pool:
+            below = {e: greenstar._generated_below(S, e) for e in S.idempotents()}
+            for a in range(S.order):
+                for dom in below.values():
+                    for cod in below.values():
+                        recording(S, a, dom, cod)
+        for table, a, dom, cod, verdict in reached:
+            assert oracles.ic_bijection_backtrack(table, a, dom, cod) == verdict
+        sized = [verdict for _, _, dom, cod, verdict in reached if len(dom) == len(cod)]
+        assert (len(reached), sum(sized), len(sized)) == (366 + 7207, 366 + 2321, 366 + 3931)
 
 
 class TestStarPlus:
