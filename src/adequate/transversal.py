@@ -424,13 +424,23 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckRe
     t_closed = all(t[a][b] in reg_set for a in regular for b in regular)
     if t_closed and regular:
 
-        def i0(z):
-            return inv0[z]
+        def inverse_identity_failures():
+            # with u' = inv0[u]: (xy)' = (x'xy)' x' = y' (xyy')' = y' (x'xyy')' x',
+            # (xy')' = y'' x' and (x'y)' = y' x''
+            ys = [(y, inv0[y], inv0[inv0[y]]) for y in regular]
+            for x in regular:
+                xo = inv0[x]
+                xoo = inv0[xo]
+                tx, txo, txox = t[x], t[xo], t[t[xo][x]]
+                for y, yo, yoo in ys:
+                    xy, xoxy, tyo = tx[y], txox[y], t[yo]
+                    if not (inv0[xy] == t[inv0[xoxy]][xo] == tyo[inv0[t[xy][yo]]]
+                            == t[tyo[inv0[t[xoxy][yo]]]][xo]
+                            and inv0[tx[yo]] == t[yoo][xo]
+                            and inv0[txo[y]] == tyo[xoo]):
+                        yield (x, y)
 
-        scan("reg_inverse_identities", (
-            (x, y) for x in regular for y in regular
-            if not _inverse_identities_hold(t, i0, x, y)
-        ))
+        scan("reg_inverse_identities", inverse_identity_failures())
         isub_ok = _is_subband(S, D.i_set) and band_class(restrict(S, D.i_set)[0]).is_left_regular
         lsub_ok = _is_subband(S, D.lambda_set) and band_class(
             restrict(S, D.lambda_set)[0]).is_right_regular
@@ -518,21 +528,6 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckRe
         add("ef_factorisation", False)
 
     return CheckReport(entries=tuple(entries))
-
-
-def _inverse_identities_hold(t, i0, x, y) -> bool:
-    xy = t[x][y]
-    lhs = i0(xy)
-    a = t[i0(t[t[i0(x)][x]][y])][i0(x)]
-    b = t[i0(y)][i0(t[t[x][y]][i0(y)])]
-    c = t[t[i0(y)][i0(t[t[t[i0(x)][x]][y]][i0(y)])]][i0(x)]
-    if not lhs == a == b == c:
-        return False
-    if i0(t[x][i0(y)]) != t[i0(i0(y))][i0(x)]:
-        return False
-    if i0(t[i0(x)][y]) != t[i0(y)][i0(i0(x))]:
-        return False
-    return True
 
 
 def _is_subband(S: FiniteSemigroup, subset) -> bool:

@@ -388,6 +388,55 @@ def condition_pairwise(si, k):
     return None
 
 
+# --- structure condition (1) by the plain 7-tuple scan ---------------------------
+
+
+def condition_1_sides(si):
+    """Both sides of the two equations of structure condition (1) at every
+    (x, y, z, f, g, h, k) in lexicographic order, read from the raw alpha and
+    beta dicts: yields (x, y, z, f, g, h, k), (alpha lhs, alpha rhs) and
+    (beta lhs, beta rhs). Only for data that passes the domain check."""
+    _, _, l_plus, r_star = _structure_frame(si)
+    mi, ml, m0 = si.i_band.table, si.lambda_band.table, si.s0.table
+    a, b = si.alpha, si.beta
+    n0 = len(m0)
+    for x, y, z in itertools.product(range(n0), repeat=3):
+        xy, yz = m0[x][y], m0[y][z]
+        a_xy, a_yz, a_xy_z, a_x_yz = a[(x, y)], a[(y, z)], a[(xy, z)], a[(x, yz)]
+        b_xy, b_yz, b_xy_z, b_x_yz = b[(x, y)], b[(y, z)], b[(xy, z)], b[(x, yz)]
+        for f, g, h, k in itertools.product(r_star[x], l_plus[y], r_star[y], l_plus[z]):
+            bh = ml[b_xy[(f, g)]][h]
+            ga = mi[g][a_yz[(h, k)]]
+            yield ((x, y, z, f, g, h, k),
+                   (mi[a_xy[(f, g)]][a_xy_z[(bh, k)]], a_x_yz[(f, ga)]),
+                   (ml[b_x_yz[(f, ga)]][b_yz[(h, k)]], b_xy_z[(bh, k)]))
+
+
+def condition_1_scan(si):
+    """Structure condition (1) with every equation checked: the first
+    violation as ("alpha" or "beta", x, y, z, f, g, h, k), or None."""
+    for point, (a_lhs, a_rhs), (b_lhs, b_rhs) in condition_1_sides(si):
+        if a_lhs != a_rhs:
+            return ("alpha",) + point
+        if b_lhs != b_rhs:
+            return ("beta",) + point
+    return None
+
+
+def condition_1_class_escape(si):
+    """The first (x, y, z, f, g, h, k) of structure condition (1) where a side
+    of the alpha-equation leaves L_{(xyz)+} in I, or a side of the
+    beta-equation leaves R_{(xyz)*} in Lambda; None if there is none."""
+    _, _, l_plus, r_star = _structure_frame(si)
+    m0 = si.s0.table
+    for point, (a1, a2), (b1, b2) in condition_1_sides(si):
+        xyz = m0[m0[point[0]][point[1]]][point[2]]
+        if not (a1 in l_plus[xyz] and a2 in l_plus[xyz]
+                and b1 in r_star[xyz] and b2 in r_star[xyz]):
+            return point
+    return None
+
+
 # --- semidirect condition (2) by pairwise scan ----------------------------------
 
 
@@ -431,3 +480,32 @@ def _action_frame(at):
     plus, star = _plus_star(at.s0.table)
     l_class = {x: c for c in green_l_classes(at.i_band.table) for x in c}
     return plus, star, [l_class[at.e0_in_i[plus[x]]] for x in range(at.s0.order)]
+
+
+# --- audit identities for the canonical inverse, one pair at a time ---------------
+
+
+def inverse_identities_hold(t, i0, x, y) -> bool:
+    """The canonical-inverse identities of the audit at (x, y), with every
+    inverse taken through the function ``i0`` and nothing hoisted."""
+    xy = t[x][y]
+    lhs = i0(xy)
+    a = t[i0(t[t[i0(x)][x]][y])][i0(x)]
+    b = t[i0(y)][i0(t[t[x][y]][i0(y)])]
+    c = t[t[i0(y)][i0(t[t[t[i0(x)][x]][y]][i0(y)])]][i0(x)]
+    if not lhs == a == b == c:
+        return False
+    if i0(t[x][i0(y)]) != t[i0(i0(y))][i0(x)]:
+        return False
+    if i0(t[i0(x)][y]) != t[i0(y)][i0(i0(x))]:
+        return False
+    return True
+
+
+def first_inverse_identity_failure(t, inv0, regular):
+    """The first (x, y) over regular x, y at which the identities fail, or None."""
+    for x in regular:
+        for y in regular:
+            if not inverse_identities_hold(t, inv0.__getitem__, x, y):
+                return (x, y)
+    return None

@@ -7,7 +7,14 @@ import pytest
 import oracles
 from conftest import admissible_pool
 from adequate.catalog import catalog
-from adequate.core import FiniteSemigroup, band_class, find_isomorphism, restrict, validate_table
+from adequate.core import (
+    FiniteSemigroup,
+    band_class,
+    direct_product,
+    find_isomorphism,
+    restrict,
+    validate_table,
+)
 from adequate.errors import (
     ActionLawViolation,
     AxiomViolation,
@@ -163,6 +170,63 @@ class TestConditionsAgainstPairwiseOracle:
                 checked += report.entry("condition_3").applicable
                 failed += not (report.ok("condition_3") and report.ok("condition_4"))
         assert checked > 0 and failed > 0, (checked, failed)
+
+
+def in_domain_mutations(si):
+    """Every structure input that differs from si in one alpha or beta value,
+    replaced by another member of its target class, so that the domain check
+    still passes."""
+    plus, star, _, _ = oracles._structure_frame(si)
+    m0 = si.s0.table
+    l_class = {e: c for c in oracles.green_l_classes(si.i_band.table) for e in c}
+    r_class = {f: c for c in oracles.green_r_classes(si.lambda_band.table) for f in c}
+    for name, target in (("alpha", lambda x, y: l_class[si.e0_in_i[plus[m0[x][y]]]]),
+                         ("beta", lambda x, y: r_class[si.e0_in_lambda[star[m0[x][y]]]])):
+        fam = getattr(si, name)
+        for (x, y), inner in fam.items():
+            for point, value in inner.items():
+                for other in target(x, y):
+                    if other != value:
+                        mutated = dict(fam)
+                        mutated[(x, y)] = {**inner, point: other}
+                        yield dataclasses.replace(si, **{name: mutated})
+
+
+def wide_product_structure():
+    """rect_band(2,2) x brandt2 (order 20, past the transversal cap): every
+    band class on both sides has two elements."""
+    S, T = catalog("rect_band(2,2)"), catalog("brandt2")
+    P = direct_product(S, T)
+    D = verify_adequate_transversal(P, [a * T.order + b for a in (0,) for b in range(T.order)])
+    return extract_structure(P, D)
+
+
+@pytest.fixture(scope="module")
+def condition_1_inputs(admissible_corpus):
+    """Extracted structures of the admissible corpus and of one wide product,
+    with their in-domain single-entry mutants."""
+    bases = [extract_structure(S, D) for _, S, D in admissible_corpus
+             if abundance_profile(S).is_quasi_adequate]
+    bases.append(wide_product_structure())
+    return [m for base in bases for m in [base, *in_domain_mutations(base)]]
+
+
+class TestCondition1AgainstPlainScan:
+    def test_verdict_and_first_witness(self, condition_1_inputs):
+        kinds = []
+        for si in condition_1_inputs:
+            report = validate_structure_input(si)
+            assert report.ok("alpha_beta_domains")
+            entry = report.entry("condition_1")
+            assert entry.witness == oracles.condition_1_scan(si)
+            assert entry.passed == (entry.witness is None)
+            kinds.append(entry.witness and entry.witness[0])
+        assert {"alpha", "beta", None} == set(kinds)
+
+    def test_both_sides_lie_in_the_class_of_xyz(self, condition_1_inputs):
+        # the fact that lets condition (1) skip a part whose class has one element
+        for si in condition_1_inputs:
+            assert oracles.condition_1_class_escape(si) is None
 
 
 class TestBuildW:

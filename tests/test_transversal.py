@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import oracles
@@ -262,6 +264,27 @@ class TestAudit:
         for name, S, D in transversal_pool(4):
             report = audit_identities(S, D)
             assert report.all_passed(), (name, [e.name for e in report.failures()])
+
+    def test_inverse_identities_match_the_pairwise_oracle(self, transversal_corpus):
+        # on the corpus, and with one regular element's canonical inverse
+        # moved to the next regular element, which mostly breaks the identities
+        failed = 0
+        for name, S, D in transversal_corpus:
+            regular = list(regular_and_inverses(S).regular)
+            if not all(S.table[a][b] in regular for a in regular for b in regular):
+                continue
+            cases = [D]
+            for i, x in enumerate(regular[:-1]):
+                inv0 = list(D.inv0)
+                inv0[x] = regular[i + 1]
+                cases.append(dataclasses.replace(D, inv0=tuple(inv0)))
+            for case in cases:
+                entry = audit_identities(S, case).entry("reg_inverse_identities")
+                expected = oracles.first_inverse_identity_failure(S.table, case.inv0, regular)
+                assert entry.applicable and entry.passed == (expected is None), name
+                assert entry.witness == expected, name
+                failed += expected is not None
+        assert failed > 0
 
 
 class TestDerivedStructure:
