@@ -42,7 +42,7 @@ from .greenstar import (
     star_relations,
 )
 from .transversal import (
-    audit_identities,
+    _audit_identities,
     find_adequate_transversals,
     transversal_profile,
     verify_adequate_transversal,
@@ -139,7 +139,7 @@ def cmd_transversals(args) -> tuple[int, dict]:
             "admissible": prof.is_admissible,
         }
         if not args.seed_only:
-            audit = audit_identities(S, D)
+            audit = _audit_identities(S, D, prof)
             item["audit_failures"] = [
                 {"name": e.name, "witness": list(e.witness) if e.witness else None}
                 for e in audit.failures()

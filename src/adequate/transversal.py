@@ -247,18 +247,14 @@ def transversal_profile(S: FiniteSemigroup, D: TransversalDecomposition) -> Tran
             qi1 = False
             wits.append(("quasi_ideal_sandwich", (u, s, first_bad_v[us])))
             break
-    for f in D.lambda_set:
-        for e in D.i_set:
-            if t[f][e] not in s0:
-                qi2 = False
-                if not any(w[0] == "quasi_ideal_lambda_i" for w in wits):
-                    wits.append(("quasi_ideal_lambda_i", (f, e)))
-    for r in D.r_set:
-        for l in D.l_set:
-            if t[r][l] not in s0:
-                qi3 = False
-                if not any(w[0] == "quasi_ideal_rl" for w in wits):
-                    wits.append(("quasi_ideal_rl", (r, l)))
+    bad = next(((f, e) for f in D.lambda_set for e in D.i_set if t[f][e] not in s0), None)
+    if bad is not None:
+        qi2 = False
+        wits.append(("quasi_ideal_lambda_i", bad))
+    bad = next(((r, l) for r in D.r_set for l in D.l_set if t[r][l] not in s0), None)
+    if bad is not None:
+        qi3 = False
+        wits.append(("quasi_ideal_rl", bad))
     if not qi1 == qi2 == qi3:
         raise InvariantBroken(
             f"quasi-ideal characterisations disagree: {qi1}, {qi2}, {qi3}"
@@ -355,14 +351,27 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckRe
     can surface complete audits. Checks that need extra hypotheses (regular
     elements closed under products, quasi-adequacy, quasi-ideal or admissible
     transversal) are marked inapplicable when those fail.
+
+    Each scan reports its first witness in lexicographic order, also where
+    scans share a pass: the x-ybar lemma, the e/f theorem and the
+    factorisation run as one pass over (x, y), and ``quasi_adequate_c2`` and
+    ``reg_inverse_identities`` as one pass over regular pairs once closure of
+    the regular elements is known. When the profile says D is admissible, the
+    three ``bar_proposition_*`` entries pass unscanned: bar(xy) = bar(x)bar(y)
+    for all x, y in S, so in particular on Lambda x I, L x R and S0 x S0.
     """
+    return _audit_identities(S, D, transversal_profile(S, D))
+
+
+def _audit_identities(S: FiniteSemigroup, D: TransversalDecomposition,
+                      tprof: TransversalProfile) -> CheckReport:
+    """audit_identities on a decomposition whose transversal profile is at hand."""
     t = S.table
     n = S.order
     stars = star_relations(S)
     green = green_relations(S)
     reg = regular_and_inverses(S)
     prof = abundance_profile(S)
-    tprof = transversal_profile(S, D)
     e_of, bar_of, f_of, inv0 = D.e_of, D.bar_of, D.f_of, D.inv0
     plus_p = D.plus_map()
     star_p = D.star_map()
@@ -378,9 +387,9 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckRe
         add(name, True, True)
 
     # factorisation maps against the starred relations and transversal members
+    rc, lc = stars.rstar.class_of, stars.lstar.class_of
     scan("e_f_lemma_1", (
-        (x,) for x in range(n)
-        if not (stars.rstar.same(e_of[x], x) and stars.lstar.same(f_of[x], x))
+        (x,) for x in range(n) if not (rc[e_of[x]] == rc[x] and lc[f_of[x]] == lc[x])
     ))
     e0 = set(D.e0)
     scan("e_f_lemma_2", (
@@ -403,11 +412,16 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckRe
                 and t[f_of[bar_of[x]]][f_of[x]] == f_of[x]
                 and t[f_of[x]][f_of[bar_of[x]]] == f_of[bar_of[x]])
     ))
-    scan("rs_ls_lemma", (
-        (x, y) for x in range(n) for y in range(n)
-        if stars.rstar.same(x, y) != (e_of[x] == e_of[y])
-        or stars.lstar.same(x, y) != (f_of[x] == f_of[y])
-    ))
+    # R* is the kernel of e_of exactly when the (class, e_x) pairs match class
+    # ids and e values one to one; dually L* and f_of. Else find the first pair.
+    if _same_kernel(rc, e_of) and _same_kernel(lc, f_of):
+        add("rs_ls_lemma", True, True)
+    else:
+        scan("rs_ls_lemma", (
+            (x, y) for x in range(n) for y in range(n)
+            if (rc[x] == rc[y]) != (e_of[x] == e_of[y])
+            or (lc[x] == lc[y]) != (f_of[x] == f_of[y])
+        ))
     # x in I: e_x = x and xbar = f_x = e_xbar; y in Lambda: e_y = ybar = f_ybar, f_y = y
     scan("i_members", (
         (x,) for x in D.i_set
@@ -418,58 +432,80 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckRe
         if not (f_of[y] == y and e_of[y] == bar_of[y] == f_of[bar_of[y]])
     ))
 
-    # identities for the canonical inverse when the regular elements are closed
-    regular = list(reg.regular)
+    # identities for the canonical inverse when the regular elements are closed;
+    # inv0 is read at a product only once closure is known
+    regular = reg.regular
     reg_set = set(regular)
-    t_closed = all(t[a][b] in reg_set for a in regular for b in regular)
-    if t_closed and regular:
+    t_closed = all(reg_set.issuperset(map(t[a].__getitem__, regular)) for a in regular)
 
-        def inverse_identity_failures():
-            # with u' = inv0[u]: (xy)' = (x'xy)' x' = y' (xyy')' = y' (x'xyy')' x',
-            # (xy')' = y'' x' and (x'y)' = y' x''
-            ys = [(y, inv0[y], inv0[inv0[y]]) for y in regular]
-            for x in regular:
-                xo = inv0[x]
-                xoo = inv0[xo]
-                tx, txo, txox = t[x], t[xo], t[t[xo][x]]
-                for y, yo, yoo in ys:
-                    xy, xoxy, tyo = tx[y], txox[y], t[yo]
-                    if not (inv0[xy] == t[inv0[xoxy]][xo] == tyo[inv0[t[xy][yo]]]
+    # I and Lambda as bands, each restricted once; restrict raises NotClosed on
+    # an open set, so it runs only where a check reads the restriction
+    bands: dict = {}
+
+    def band(members):
+        if members not in bands:
+            bands[members] = restrict(S, members)
+        return bands[members]
+
+    i_sub = l_sub = i_left = l_right = False
+    if (t_closed and regular) or prof.is_quasi_adequate:
+        i_sub, l_sub = _is_subband(S, D.i_set), _is_subband(S, D.lambda_set)
+        i_left = i_sub and band_class(band(D.i_set)[0]).is_left_regular
+        l_right = l_sub and band_class(band(D.lambda_set)[0]).is_right_regular
+
+    c2 = t_closed
+    if t_closed and regular:
+        inverse_witness = None
+        # with u' = inv0[u]: (xy)' = (x'xy)' x' = y' (xyy')' = y' (x'xyy')' x',
+        # (xy')' = y'' x' and (x'y)' = y' x''; c2 is (xy)' = y' x' alone
+        ys = [(y, inv0[y], inv0[inv0[y]]) for y in regular]
+        for x in regular:
+            xo = inv0[x]
+            xoo = inv0[xo]
+            tx, txo, txox = t[x], t[xo], t[t[xo][x]]
+            for y, yo, yoo in ys:
+                xy, tyo = tx[y], t[yo]
+                ixy = inv0[xy]
+                if c2 and ixy != tyo[xo]:
+                    c2 = False
+                if inverse_witness is None:
+                    xoxy = txox[y]
+                    if not (ixy == t[inv0[xoxy]][xo] == tyo[inv0[t[xy][yo]]]
                             == t[tyo[inv0[t[xoxy][yo]]]][xo]
                             and inv0[tx[yo]] == t[yoo][xo]
                             and inv0[txo[y]] == tyo[xoo]):
-                        yield (x, y)
-
-        scan("reg_inverse_identities", inverse_identity_failures())
-        isub_ok = _is_subband(S, D.i_set) and band_class(restrict(S, D.i_set)[0]).is_left_regular
-        lsub_ok = _is_subband(S, D.lambda_set) and band_class(
-            restrict(S, D.lambda_set)[0]).is_right_regular
-        add("reg_subband_i_lambda", True, isub_ok and lsub_ok,
-            None if isub_ok and lsub_ok else ("bands", D.i_set, D.lambda_set))
+                        inverse_witness = (x, y)
+                elif not c2:
+                    break
+            if inverse_witness is not None and not c2:
+                break
+        add("reg_inverse_identities", True, inverse_witness is None, inverse_witness)
+        add("reg_subband_i_lambda", True, i_left and l_right,
+            None if i_left and l_right else ("bands", D.i_set, D.lambda_set))
     else:
         add("reg_inverse_identities", False)
         add("reg_subband_i_lambda", False)
 
     # bar is multiplicative on the published sub-domains
-    iset, lamset = set(D.i_set), set(D.lambda_set)
-    scan("bar_proposition_lambda_i", (
-        (x, y) for x in D.lambda_set for y in D.i_set
-        if bar_of[t[x][y]] != t[bar_of[x]][bar_of[y]]
-    ))
-    scan("bar_proposition_l_r", (
-        (x, y) for x in D.l_set for y in D.r_set
-        if bar_of[t[x][y]] != t[bar_of[x]][bar_of[y]]
-    ))
-    scan("bar_proposition_s0", (
-        (x, y) for x in D.s0 for y in D.s0
-        if bar_of[t[x][y]] != t[bar_of[x]][bar_of[y]]
-    ))
+    if tprof.is_admissible:
+        for name in ("bar_proposition_lambda_i", "bar_proposition_l_r", "bar_proposition_s0"):
+            add(name, True, True)
+    else:
+        scan("bar_proposition_lambda_i", (
+            (x, y) for x in D.lambda_set for y in D.i_set
+            if bar_of[t[x][y]] != t[bar_of[x]][bar_of[y]]
+        ))
+        scan("bar_proposition_l_r", (
+            (x, y) for x in D.l_set for y in D.r_set
+            if bar_of[t[x][y]] != t[bar_of[x]][bar_of[y]]
+        ))
+        scan("bar_proposition_s0", (
+            (x, y) for x in D.s0 for y in D.s0
+            if bar_of[t[x][y]] != t[bar_of[x]][bar_of[y]]
+        ))
 
     # four equivalent characterisations of quasi-adequacy; all-or-none
     c1 = prof.is_quasi_adequate
-    c2 = t_closed and all(
-        inv0[t[x][y]] == t[inv0[y]][inv0[x]] for x in regular for y in regular
-    )
     c3 = all(
         t[l][i] in reg_set and inv0[t[l][i]] == t[inv0[i]][inv0[l]]
         for l in D.lambda_set for i in D.i_set
@@ -485,9 +521,9 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckRe
         scan("e0_corollary", (
             (x,) for x in S.idempotents() if inv0[x] not in e0
         ))
-        semi_ok = _semilattice_transversal_ok(S, D, reg)
+        semi_ok = _semilattice_transversal_ok(S, D, reg, i_sub and l_sub, i_left, l_right)
         add("e0_semilattice_transversal", True, semi_ok[0], semi_ok[1])
-        lr_ok = _band_class_decomposition_ok(S, D)
+        lr_ok = _band_class_decomposition_ok(S, D, band(D.i_set), band(D.lambda_set))
         add("lx_rx_lemma", True, lr_ok[0], lr_ok[1])
     else:
         add("e0_corollary", False)
@@ -495,39 +531,59 @@ def audit_identities(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckRe
         add("lx_rx_lemma", False)
 
     if tprof.is_quasi_ideal:
-        rhs = all(
-            bar_of[t[x][y]] == t[bar_of[x]][bar_of[y]] for x in range(n) for y in range(n)
-        )
+        # the right-hand side, bar(xy) = bar(x)bar(y) on S x S, is admissibility
+        rhs = tprof.is_admissible
         add("quasi_ideal_admissibility_equiv", True, prof.is_quasi_adequate == rhs,
             (prof.is_quasi_adequate, rhs))
     else:
         add("quasi_ideal_admissibility_equiv", False)
 
     if prof.is_quasi_adequate and tprof.is_admissible:
-        def mid(x, y):
-            return t[t[t[bar_of[x]][f_of[x]]][e_of[y]]][bar_of[y]]
-
-        scan("xybar_lemma", (
-            (x, y) for x in range(n) for y in range(n)
-            if bar_of[t[x][y]] != bar_of[mid(x, y)]
-        ))
-        scan("ef_theorem", (
-            (x, y) for x in range(n) for y in range(n)
-            if e_of[t[x][y]] != t[e_of[x]][e_of[mid(x, y)]]
-            or f_of[t[x][y]] != t[f_of[mid(x, y)]][f_of[y]]
-        ))
-        scan("ef_factorisation", (
-            (x, y) for x in range(n) for y in range(n)
-            if t[x][y] != S.product([
-                t[e_of[x]][e_of[mid(x, y)]], bar_of[mid(x, y)], t[f_of[mid(x, y)]][f_of[y]]
-            ])
-        ))
+        xybar, ef, fact = _first_xy_failures(t, e_of, bar_of, f_of)
+        add("xybar_lemma", True, xybar is None, xybar)
+        add("ef_theorem", True, ef is None, ef)
+        add("ef_factorisation", True, fact is None, fact)
     else:
         add("xybar_lemma", False)
         add("ef_theorem", False)
         add("ef_factorisation", False)
 
     return CheckReport(entries=tuple(entries))
+
+
+def _same_kernel(class_of, values) -> bool:
+    """Whether class_of[x] == class_of[y] <=> values[x] == values[y] for all x, y."""
+    return len(set(zip(class_of, values))) == len(set(class_of)) == len(set(values))
+
+
+def _first_xy_failures(t, e_of, bar_of, f_of):
+    """The first (x, y) in lexicographic order at which each of the x-ybar
+    lemma, the e/f theorem and the factorisation fails, or None for each.
+
+    With m = xbar f_x e_y ybar: bar(xy) = bar(m); e_xy = e_x e_m and
+    f_xy = f_m f_y; xy = (e_x e_m) bar(m) (f_m f_y). One pass over (x, y)
+    keeps each first witness and stops once all three have one.
+    """
+    n = len(t)
+    xybar = ef = fact = None
+    for x in range(n):
+        tx, tex = t[x], t[e_of[x]]
+        tbf = t[t[bar_of[x]][f_of[x]]]
+        for y in range(n):
+            xy = tx[y]
+            m = t[tbf[e_of[y]]][bar_of[y]]
+            bm = bar_of[m]
+            a = tex[e_of[m]]
+            c = t[f_of[m]][f_of[y]]
+            if xybar is None and bar_of[xy] != bm:
+                xybar = (x, y)
+            if ef is None and (e_of[xy] != a or f_of[xy] != c):
+                ef = (x, y)
+            if fact is None and xy != t[t[a][bm]][c]:
+                fact = (x, y)
+        if xybar is not None and ef is not None and fact is not None:
+            break
+    return xybar, ef, fact
 
 
 def _is_subband(S: FiniteSemigroup, subset) -> bool:
@@ -537,14 +593,14 @@ def _is_subband(S: FiniteSemigroup, subset) -> bool:
     ) and all(S.is_idempotent(a) for a in subset)
 
 
-def _semilattice_transversal_ok(S, D, reg):
+def _semilattice_transversal_ok(S, D, reg, subbands, i_left, l_right):
     t = S.table
     e0 = set(D.e0)
-    if not _is_subband(S, D.i_set) or not _is_subband(S, D.lambda_set):
+    if not subbands:
         return False, ("subband",)
-    if not band_class(restrict(S, D.i_set)[0]).is_left_regular:
+    if not i_left:
         return False, ("i_not_left_regular",)
-    if not band_class(restrict(S, D.lambda_set)[0]).is_right_regular:
+    if not l_right:
         return False, ("lambda_not_right_regular",)
     for u in D.e0:
         for v in D.e0:
@@ -560,9 +616,9 @@ def _semilattice_transversal_ok(S, D, reg):
     return True, None
 
 
-def _band_class_decomposition_ok(S, D):
-    iband, i_parent = restrict(S, D.i_set)
-    lband, l_parent = restrict(S, D.lambda_set)
+def _band_class_decomposition_ok(S, D, i_restricted, l_restricted):
+    iband, i_parent = i_restricted
+    lband, l_parent = l_restricted
     gi = green_relations(iband)
     gl = green_relations(lband)
     i_back = {p: i for i, p in enumerate(i_parent)}

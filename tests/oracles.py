@@ -10,6 +10,20 @@ from __future__ import annotations
 
 import itertools
 
+from adequate.core import FiniteSemigroup, band_class, restrict
+from adequate.greenstar import (
+    abundance_profile,
+    green_relations,
+    regular_and_inverses,
+    star_relations,
+)
+from adequate.transversal import (
+    CheckEntry,
+    CheckReport,
+    TransversalDecomposition,
+    transversal_profile,
+)
+
 
 def with_identity(table):
     """The table of S^1: a fresh identity appended as the last element."""
@@ -509,3 +523,266 @@ def first_inverse_identity_failure(t, inv0, regular):
             if not inverse_identities_hold(t, inv0.__getitem__, x, y):
                 return (x, y)
     return None
+
+
+# --- the identity audit, one scan per entry ------------------------------------
+
+
+def audit_identities_scan(S: FiniteSemigroup, D: TransversalDecomposition) -> CheckReport:
+    """The identity audit with every scan run on its own, in the order of the
+    report: each of the x-ybar lemma, the e/f theorem and the factorisation
+    recomputes mid(x, y), the bar propositions and the quasi-ideal equivalence
+    scan bar over their domains, and I and Lambda are restricted by each check
+    that reads them."""
+    t = S.table
+    n = S.order
+    stars = star_relations(S)
+    green = green_relations(S)
+    reg = regular_and_inverses(S)
+    prof = abundance_profile(S)
+    tprof = transversal_profile(S, D)
+    e_of, bar_of, f_of, inv0 = D.e_of, D.bar_of, D.f_of, D.inv0
+    plus_p = D.plus_map()
+    star_p = D.star_map()
+    entries: list[CheckEntry] = []
+
+    def add(name, applicable, passed=None, witness=None):
+        entries.append(CheckEntry(name, applicable, passed, witness))
+
+    def scan(name, gen):
+        for witness in gen:
+            add(name, True, False, witness)
+            return
+        add(name, True, True)
+
+    # factorisation maps against the starred relations and transversal members
+    scan("e_f_lemma_1", (
+        (x,) for x in range(n)
+        if not (stars.rstar.same(e_of[x], x) and stars.lstar.same(f_of[x], x))
+    ))
+    e0 = set(D.e0)
+    scan("e_f_lemma_2", (
+        (x,) for x in D.s0
+        if not (e_of[x] == plus_p[x] and e_of[x] in e0
+                and bar_of[x] == x and f_of[x] == star_p[x] and f_of[x] in e0)
+    ))
+    scan("e_f_lemma_3", (
+        (x,) for x in D.e0 if not (e_of[x] == bar_of[x] == f_of[x] == x)
+    ))
+    scan("e_f_lemma_4", (
+        (x,) for x in range(n)
+        if not (green.l.same(e_of[bar_of[x]], e_of[x])
+                and t[e_of[bar_of[x]]][e_of[x]] == e_of[bar_of[x]]
+                and t[e_of[x]][e_of[bar_of[x]]] == e_of[x])
+    ))
+    scan("e_f_lemma_5", (
+        (x,) for x in range(n)
+        if not (green.r.same(f_of[bar_of[x]], f_of[x])
+                and t[f_of[bar_of[x]]][f_of[x]] == f_of[x]
+                and t[f_of[x]][f_of[bar_of[x]]] == f_of[bar_of[x]])
+    ))
+    scan("rs_ls_lemma", (
+        (x, y) for x in range(n) for y in range(n)
+        if stars.rstar.same(x, y) != (e_of[x] == e_of[y])
+        or stars.lstar.same(x, y) != (f_of[x] == f_of[y])
+    ))
+    # x in I: e_x = x and xbar = f_x = e_xbar; y in Lambda: e_y = ybar = f_ybar, f_y = y
+    scan("i_members", (
+        (x,) for x in D.i_set
+        if not (e_of[x] == x and bar_of[x] == f_of[x] == e_of[bar_of[x]])
+    ))
+    scan("lambda_members", (
+        (y,) for y in D.lambda_set
+        if not (f_of[y] == y and e_of[y] == bar_of[y] == f_of[bar_of[y]])
+    ))
+
+    # identities for the canonical inverse when the regular elements are closed
+    regular = list(reg.regular)
+    reg_set = set(regular)
+    t_closed = all(t[a][b] in reg_set for a in regular for b in regular)
+    if t_closed and regular:
+
+        def inverse_identity_failures():
+            # with u' = inv0[u]: (xy)' = (x'xy)' x' = y' (xyy')' = y' (x'xyy')' x',
+            # (xy')' = y'' x' and (x'y)' = y' x''
+            ys = [(y, inv0[y], inv0[inv0[y]]) for y in regular]
+            for x in regular:
+                xo = inv0[x]
+                xoo = inv0[xo]
+                tx, txo, txox = t[x], t[xo], t[t[xo][x]]
+                for y, yo, yoo in ys:
+                    xy, xoxy, tyo = tx[y], txox[y], t[yo]
+                    if not (inv0[xy] == t[inv0[xoxy]][xo] == tyo[inv0[t[xy][yo]]]
+                            == t[tyo[inv0[t[xoxy][yo]]]][xo]
+                            and inv0[tx[yo]] == t[yoo][xo]
+                            and inv0[txo[y]] == tyo[xoo]):
+                        yield (x, y)
+
+        scan("reg_inverse_identities", inverse_identity_failures())
+        isub_ok = _is_subband(S, D.i_set) and band_class(restrict(S, D.i_set)[0]).is_left_regular
+        lsub_ok = _is_subband(S, D.lambda_set) and band_class(
+            restrict(S, D.lambda_set)[0]).is_right_regular
+        add("reg_subband_i_lambda", True, isub_ok and lsub_ok,
+            None if isub_ok and lsub_ok else ("bands", D.i_set, D.lambda_set))
+    else:
+        add("reg_inverse_identities", False)
+        add("reg_subband_i_lambda", False)
+
+    # bar is multiplicative on the published sub-domains
+    iset, lamset = set(D.i_set), set(D.lambda_set)
+    scan("bar_proposition_lambda_i", (
+        (x, y) for x in D.lambda_set for y in D.i_set
+        if bar_of[t[x][y]] != t[bar_of[x]][bar_of[y]]
+    ))
+    scan("bar_proposition_l_r", (
+        (x, y) for x in D.l_set for y in D.r_set
+        if bar_of[t[x][y]] != t[bar_of[x]][bar_of[y]]
+    ))
+    scan("bar_proposition_s0", (
+        (x, y) for x in D.s0 for y in D.s0
+        if bar_of[t[x][y]] != t[bar_of[x]][bar_of[y]]
+    ))
+
+    # four equivalent characterisations of quasi-adequacy; all-or-none
+    c1 = prof.is_quasi_adequate
+    c2 = t_closed and all(
+        inv0[t[x][y]] == t[inv0[y]][inv0[x]] for x in regular for y in regular
+    )
+    c3 = all(
+        t[l][i] in reg_set and inv0[t[l][i]] == t[inv0[i]][inv0[l]]
+        for l in D.lambda_set for i in D.i_set
+    )
+    c4 = {t[i][l] for i in D.i_set for l in D.lambda_set} == set(S.idempotents())
+    add("quasi_adequate_c1", True, c1)
+    add("quasi_adequate_c2", True, c2)
+    add("quasi_adequate_c3", True, c3)
+    add("quasi_adequate_c4", True, c4)
+    add("quasi_adequate_all_or_none", True, c1 == c2 == c3 == c4, (c1, c2, c3, c4))
+
+    if prof.is_quasi_adequate:
+        scan("e0_corollary", (
+            (x,) for x in S.idempotents() if inv0[x] not in e0
+        ))
+        semi_ok = _semilattice_transversal_ok(S, D, reg)
+        add("e0_semilattice_transversal", True, semi_ok[0], semi_ok[1])
+        lr_ok = _band_class_decomposition_ok(S, D)
+        add("lx_rx_lemma", True, lr_ok[0], lr_ok[1])
+    else:
+        add("e0_corollary", False)
+        add("e0_semilattice_transversal", False)
+        add("lx_rx_lemma", False)
+
+    if tprof.is_quasi_ideal:
+        rhs = all(
+            bar_of[t[x][y]] == t[bar_of[x]][bar_of[y]] for x in range(n) for y in range(n)
+        )
+        add("quasi_ideal_admissibility_equiv", True, prof.is_quasi_adequate == rhs,
+            (prof.is_quasi_adequate, rhs))
+    else:
+        add("quasi_ideal_admissibility_equiv", False)
+
+    if prof.is_quasi_adequate and tprof.is_admissible:
+        def mid(x, y):
+            return t[t[t[bar_of[x]][f_of[x]]][e_of[y]]][bar_of[y]]
+
+        scan("xybar_lemma", (
+            (x, y) for x in range(n) for y in range(n)
+            if bar_of[t[x][y]] != bar_of[mid(x, y)]
+        ))
+        scan("ef_theorem", (
+            (x, y) for x in range(n) for y in range(n)
+            if e_of[t[x][y]] != t[e_of[x]][e_of[mid(x, y)]]
+            or f_of[t[x][y]] != t[f_of[mid(x, y)]][f_of[y]]
+        ))
+        scan("ef_factorisation", (
+            (x, y) for x in range(n) for y in range(n)
+            if t[x][y] != S.product([
+                t[e_of[x]][e_of[mid(x, y)]], bar_of[mid(x, y)], t[f_of[mid(x, y)]][f_of[y]]
+            ])
+        ))
+    else:
+        add("xybar_lemma", False)
+        add("ef_theorem", False)
+        add("ef_factorisation", False)
+
+    return CheckReport(entries=tuple(entries))
+
+
+def _is_subband(S: FiniteSemigroup, subset) -> bool:
+    sset = set(subset)
+    return all(
+        S.table[a][b] in sset for a in subset for b in subset
+    ) and all(S.is_idempotent(a) for a in subset)
+
+
+def _semilattice_transversal_ok(S, D, reg):
+    t = S.table
+    e0 = set(D.e0)
+    if not _is_subband(S, D.i_set) or not _is_subband(S, D.lambda_set):
+        return False, ("subband",)
+    if not band_class(restrict(S, D.i_set)[0]).is_left_regular:
+        return False, ("i_not_left_regular",)
+    if not band_class(restrict(S, D.lambda_set)[0]).is_right_regular:
+        return False, ("lambda_not_right_regular",)
+    for u in D.e0:
+        for v in D.e0:
+            if t[u][v] != t[v][u] or t[u][v] not in e0:
+                return False, ("e0_not_semilattice", u, v)
+    for x in set(D.i_set) | set(D.lambda_set):
+        ve0 = [y for y in reg.inverses[x] if y in e0]
+        if len(ve0) != 1 or D.inv0[x] not in e0 or D.inv0[x] not in set(reg.inverses[x]):
+            return False, ("transversal_count", x, tuple(ve0))
+    for x in D.e0:
+        if D.inv0[x] != x:
+            return False, ("e0_not_fixed", x)
+    return True, None
+
+
+def _band_class_decomposition_ok(S, D):
+    iband, i_parent = restrict(S, D.i_set)
+    lband, l_parent = restrict(S, D.lambda_set)
+    gi = green_relations(iband)
+    gl = green_relations(lband)
+    i_back = {p: i for i, p in enumerate(i_parent)}
+    l_back = {p: i for i, p in enumerate(l_parent)}
+    # L-classes of transversal members in the band on I
+    covered = set()
+    for u in D.e0:
+        cls = [i_parent[x] for x in gi.l.classes[gi.l.class_of[i_back[u]]]]
+        covered.update(cls)
+        for a in cls:
+            for b in cls:
+                if S.table[a][b] != a:
+                    return False, ("l_class_not_left_zero", u, a, b)
+    if covered != set(D.i_set):
+        return False, ("i_not_covered", tuple(sorted(set(D.i_set) - covered)))
+    for u in D.e0:
+        for v in D.e0:
+            uv = S.table[u][v]
+            cu = gi.l.classes[gi.l.class_of[i_back[u]]]
+            cv = gi.l.classes[gi.l.class_of[i_back[v]]]
+            for a in cu:
+                for b in cv:
+                    prod = iband.table[a][b]
+                    if not gi.l.same(prod, i_back[uv]):
+                        return False, ("l_product_escapes", u, v, i_parent[a], i_parent[b])
+    covered = set()
+    for u in D.e0:
+        cls = [l_parent[x] for x in gl.r.classes[gl.r.class_of[l_back[u]]]]
+        covered.update(cls)
+        for a in cls:
+            for b in cls:
+                if S.table[a][b] != b:
+                    return False, ("r_class_not_right_zero", u, a, b)
+    if covered != set(D.lambda_set):
+        return False, ("lambda_not_covered", tuple(sorted(set(D.lambda_set) - covered)))
+    for u in D.e0:
+        for v in D.e0:
+            uv = S.table[u][v]
+            cu = gl.r.classes[gl.r.class_of[l_back[u]]]
+            cv = gl.r.classes[gl.r.class_of[l_back[v]]]
+            for a in cu:
+                for b in cv:
+                    if not gl.r.same(lband.table[a][b], l_back[uv]):
+                        return False, ("r_product_escapes", u, v, l_parent[a], l_parent[b])
+    return True, None

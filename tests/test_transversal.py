@@ -5,7 +5,7 @@ import pytest
 import oracles
 from conftest import census_pool, transversal_pool
 from adequate.catalog import catalog
-from adequate.core import enumerate_subsemigroups, restrict, validate_table
+from adequate.core import direct_product, enumerate_subsemigroups, restrict, validate_table
 from adequate.errors import (
     AmbiguousDecomposition,
     InvariantBroken,
@@ -204,6 +204,17 @@ class TestProfile:
             escapes += first is not None
         assert escapes > 0
 
+    def test_lambda_i_and_rl_witnesses_are_the_first_escapes(self, transversal_corpus):
+        escapes = 0
+        for name, S, D in transversal_corpus:
+            wits = dict(transversal_profile(S, D).witnesses)
+            for kind, left, right in (("quasi_ideal_lambda_i", D.lambda_set, D.i_set),
+                                      ("quasi_ideal_rl", D.r_set, D.l_set)):
+                bad = [(a, b) for a in left for b in right if S.mul(a, b) not in D.s0]
+                assert wits.get(kind) == (bad[0] if bad else None), (name, kind)
+                escapes += len(bad) > 1
+        assert escapes > 0
+
     def test_multiplicative_iff_quasi_ideal_on_quasi_adequate(self):
         for name, S, D in transversal_pool(4):
             if abundance_profile(S).is_quasi_adequate:
@@ -285,6 +296,84 @@ class TestAudit:
                 assert entry.witness == expected, name
                 failed += expected is not None
         assert failed > 0
+
+
+def _audit_outcome(audit, S, D):
+    """The whole report as (name, applicable, passed, witness) rows in order,
+    or the type and arguments of the exception the audit raised."""
+    try:
+        report = audit(S, D)
+    except Exception as exc:  # a corrupted map may send a scan off the table
+        return type(exc), exc.args
+    return [(e.name, e.applicable, e.passed, e.witness) for e in report.entries]
+
+
+def _single_entry_corruptions(S, D):
+    """D with one entry of e_of, bar_of, f_of or inv0 moved to the next element."""
+    n = S.order
+    for field in ("e_of", "bar_of", "f_of", "inv0"):
+        values = getattr(D, field)
+        for x, v in enumerate(values):
+            if n > 1 and v is not None:
+                changed = list(values)
+                changed[x] = (v + 1) % n
+                yield field, dataclasses.replace(D, **{field: tuple(changed)})
+
+
+def _ladder_rung(key):
+    """sym_inv(3) x T with the product of the factors' first transversals."""
+    base, T = catalog("sym_inv(3)"), catalog(key)
+    factor_s0 = find_adequate_transversals(T)[0].s0
+    S = direct_product(base, T)
+    s0 = [a * T.order + b for a in range(base.order) for b in factor_s0]
+    return S, verify_adequate_transversal(S, s0)
+
+
+# entries that share a pass, compare class ids, or pass by admissibility
+FUSED_OR_IMPLIED = (
+    "e_f_lemma_1", "rs_ls_lemma", "reg_inverse_identities", "quasi_adequate_c2",
+    "bar_proposition_lambda_i", "bar_proposition_l_r", "bar_proposition_s0",
+    "quasi_ideal_admissibility_equiv", "xybar_lemma", "ef_theorem", "ef_factorisation",
+)
+
+
+class TestAuditAgainstScan:
+    def test_reports_equal_the_scan_entry_for_entry(self, transversal_corpus):
+        inputs = [(name, S, D) for name, S, D in transversal_corpus]
+        inputs += [(key, *_ladder_rung(key)) for key in ("chain(1)", "left_zero(2)")]
+        inputs += [
+            (f"{name} {field}", S, case)
+            for name, S, D in transversal_corpus
+            for field, case in _single_entry_corruptions(S, D)
+        ]
+        failed = set()
+        for name, S, D in inputs:
+            expected = _audit_outcome(oracles.audit_identities_scan, S, D)
+            assert _audit_outcome(audit_identities, S, D) == expected, name
+            if isinstance(expected, list):
+                failed.update(row[0] for row in expected if row[1] and not row[2])
+        assert set(FUSED_OR_IMPLIED) <= failed, set(FUSED_OR_IMPLIED) - failed
+
+    def test_admissibility_implies_the_bar_entries(self, transversal_corpus):
+        bar_entries = ("bar_proposition_lambda_i", "bar_proposition_l_r", "bar_proposition_s0")
+        scanned_failures = 0
+        for name, S, D in transversal_corpus:
+            admissible = transversal_profile(S, D).is_admissible
+            scan = oracles.audit_identities_scan(S, D)
+            equiv = scan.entry("quasi_ideal_admissibility_equiv")
+            if equiv.applicable:
+                assert equiv.witness[1] == admissible, name
+            if admissible:
+                assert scan.ok(*bar_entries), name
+            for field, case in _single_entry_corruptions(S, D):
+                if field != "bar_of" or transversal_profile(S, case).is_admissible:
+                    continue
+                want = oracles.audit_identities_scan(S, case)
+                got = audit_identities(S, case)
+                for entry in bar_entries:
+                    assert got.entry(entry) == want.entry(entry), (name, entry)
+                    scanned_failures += not want.entry(entry).passed
+        assert scanned_failures > 0
 
 
 class TestDerivedStructure:
