@@ -20,13 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    FiniteSemigroup,
-    band_class,
-    find_isomorphism,
-    is_morphism,
-    restrict,
-)
+from .core import FiniteSemigroup, band_class, is_morphism, restrict
 from .errors import (
     ActionLawViolation,
     AxiomViolation,
@@ -430,10 +424,27 @@ def _carrier_semigroup(legend, product, label) -> tuple[FiniteSemigroup, dict]:
     return w, index
 
 
+def _iso_witness(S: FiniteSemigroup, T: FiniteSemigroup, phi):
+    """None when phi, sending a in S to phi[a] in T, is a bijective morphism,
+    hence an isomorphism; else the first witness: "not_bijective" (an image
+    missing, repeated or outside T) or the first pair (a, b) is_morphism finds.
+    """
+    if len(phi) != T.order or set(phi) != set(range(T.order)):
+        return "not_bijective"
+    return is_morphism(S, T, phi)
+
+
+def _projection_witness(w, legend, subset, T, k):
+    """_iso_witness of the map from the restriction of w to subset into T that
+    reads coordinate k of each element's legend entry."""
+    sub, to_parent = restrict(w, subset)
+    return _iso_witness(sub, T, tuple(legend[p][k] for p in to_parent))
+
+
 def _postvalidate(w, legend, w0, s0) -> TransversalDecomposition:
     """Certify a build on (e, x, ...) coordinates: W is quasi-adequate, its
     idempotents are the fibre over E0, and w0 is an admissible adequate
-    transversal isomorphic to s0 through x -> w0[x]."""
+    transversal isomorphic to s0 through its projection (e, x, ...) -> x."""
     if not abundance_profile(w).is_quasi_adequate:
         raise PostconditionFailed("output is not quasi-adequate")
     e0_set = {x for x in range(s0.order) if s0.is_idempotent(x)}
@@ -443,11 +454,9 @@ def _postvalidate(w, legend, w0, s0) -> TransversalDecomposition:
     D = verify_adequate_transversal(w, w0)
     if not transversal_profile(w, D).is_admissible:
         raise PostconditionFailed("embedded transversal is not admissible")
-    phi = {wi: x for x, wi in enumerate(w0)}
-    sub, to_parent = restrict(w, w0)
-    mor = is_morphism(sub, s0, tuple(phi[p] for p in to_parent))
-    if mor is not None:
-        raise PostconditionFailed(f"transversal copy is not isomorphic to s0 at {mor}")
+    witness = _projection_witness(w, legend, w0, s0, 1)
+    if witness is not None:
+        raise PostconditionFailed(f"transversal copy is not isomorphic to s0 at {witness}")
     return D
 
 
@@ -467,7 +476,16 @@ def build_w(si: StructureInput) -> BuiltSemigroup:
 
 
 def _build_w(si: StructureInput, report: CheckReport) -> BuiltSemigroup:
-    """build_w on structure data whose validation report is already at hand."""
+    """build_w on structure data whose validation report is already at hand.
+
+    Under (5) it certifies I(W) = I and Lambda(W) = Lambda by the projections
+    (e, x, f) -> e and -> f. A bijective morphism is an isomorphism, so each
+    check is sound alone; neither can fail. With u_I, u_L the images of u in
+    E0, I(W) holds one (e, u, u_L) for each e in I, u_I L e, and in it
+    (e, u, u_L)(g, v, v_L) starts with e.alpha_uv(u_L, g) = e.(u_I.g) = e.g
+    by (5) and e.u_I = e. Dually Lambda(W) holds one (v_I, v, f) for each f,
+    v_L R f, and (u_I, u, f)(v_I, v, h) ends with (f.v_L).h = f.h.
+    """
     if not report.ok(*_STRUCTURAL) or not report.ok(*(f"condition_{k}" for k in range(1, 5))):
         raise AxiomViolation(report)
 
@@ -496,11 +514,9 @@ def _build_w(si: StructureInput, report: CheckReport) -> BuiltSemigroup:
     D = _postvalidate(w, legend, w0, si.s0)
     c5 = bool(report.entry("condition_5").passed)
     if c5:
-        iw, _ = restrict(w, D.i_set)
-        if find_isomorphism(iw, si.i_band) is None:
+        if _projection_witness(w, legend, D.i_set, si.i_band, 0) is not None:
             raise PostconditionFailed("I(W) is not isomorphic to the left band")
-        lw, _ = restrict(w, D.lambda_set)
-        if find_isomorphism(lw, si.lambda_band) is None:
+        if _projection_witness(w, legend, D.lambda_set, si.lambda_band, 2) is not None:
             raise PostconditionFailed("Lambda(W) is not isomorphic to the right band")
     return BuiltSemigroup(
         w=w, element_legend=legend, w0=w0, decomposition=D,
@@ -592,8 +608,7 @@ def build_spined_product(l_part, d_l, r_part, d_r, identify) -> BuiltSemigroup:
         raise PostconditionFailed("spined transversal is not an admissible quasi-ideal")
     order = {s: i for i, s in enumerate(d_l.s0)}
     sub_w, to_parent = restrict(w, w0)
-    phi = tuple(order[legend[p][0]] for p in to_parent)
-    if is_morphism(sub_w, sub_l, phi) is not None:
+    if _iso_witness(sub_w, sub_l, tuple(order[legend[p][0]] for p in to_parent)) is not None:
         raise PostconditionFailed("spined transversal copy differs from the shared one")
     return BuiltSemigroup(w=w, element_legend=legend, w0=w0, decomposition=D, kind="spined")
 
@@ -697,7 +712,12 @@ def build_semidirect(at: ActionTable) -> BuiltSemigroup:
 
 
 def _build_semidirect(at: ActionTable, report: CheckReport) -> BuiltSemigroup:
-    """build_semidirect on an action whose validation report is already at hand."""
+    """build_semidirect on an action whose validation report is already at hand.
+
+    Under (3) it certifies I(W) = I by the projection (e, x) -> e, sound alone
+    and unable to fail: I(W) holds one (e, u) for each e in I, u_I L e, and
+    (e, u)(g, v) starts with e.(u . g) = e.(u_I.g) = e.g by (3) and e.u_I = e.
+    """
     if not report.ok("s0_adequate"):
         raise NotAdequate("the acting semigroup must be adequate")
     if not report.ok("s0_left_ample"):
@@ -737,10 +757,8 @@ def _build_semidirect(at: ActionTable, report: CheckReport) -> BuiltSemigroup:
         raise PostconditionFailed("embedded transversal is not left ample")
 
     c3 = bool(report.entry("condition_3").passed)
-    if c3:
-        iw, _ = restrict(w, D.i_set)
-        if find_isomorphism(iw, at.i_band) is None:
-            raise PostconditionFailed("I(W) is not isomorphic to the acting band")
+    if c3 and _projection_witness(w, legend, D.i_set, at.i_band, 0) is not None:
+        raise PostconditionFailed("I(W) is not isomorphic to the acting band")
     return BuiltSemigroup(
         w=w, element_legend=legend, w0=w0, decomposition=D,
         kind="semidirect", condition_flags=(("condition_3", c3),), report=report,

@@ -115,9 +115,6 @@ class FiniteSemigroup:
             acc = self.table[acc][x]
         return acc
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def is_idempotent(self, x: int) -> bool:
         return self.table[x][x] == x
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FiniteSemigroup, is_morphism, restrict
+from .core import FiniteSemigroup, restrict
 from .errors import (
     InvariantBroken,
     IsoFailed,
@@ -29,6 +29,7 @@ from .construct import (
     StructureInput,
     _build_semidirect,
     _build_w,
+    _iso_witness,
     build_spined_product,
     validate_action_table,
     validate_structure_input,
@@ -37,9 +38,20 @@ from .transversal import (
     CheckEntry,
     CheckReport,
     TransversalDecomposition,
+    TransversalProfile,
     transversal_profile,
     verify_adequate_transversal,
 )
+
+
+def _require_extractable(S: FiniteSemigroup, D: TransversalDecomposition) -> TransversalProfile:
+    """The gates of extract_structure, in order; returns the transversal profile."""
+    if not abundance_profile(S).is_quasi_adequate:
+        raise NotQuasiAdequate("extraction needs a quasi-adequate ambient semigroup")
+    tprof = transversal_profile(S, D)
+    if not tprof.is_admissible:
+        raise NotAdmissible("extraction needs an admissible transversal")
+    return tprof
 
 
 def extract_structure(S: FiniteSemigroup, D: TransversalDecomposition) -> StructureInput:
@@ -49,17 +61,13 @@ def extract_structure(S: FiniteSemigroup, D: TransversalDecomposition) -> Struct
     The output is guaranteed to pass all five validation conditions; failure
     to do so is an internal error, not a property of the input.
     """
+    _require_extractable(S, D)
     return _extract_structure(S, D)[0]
 
 
 def _extract_structure(S: FiniteSemigroup,
                        D: TransversalDecomposition) -> tuple[StructureInput, CheckReport]:
-    """extract_structure, also returning the passing validation report."""
-    if not abundance_profile(S).is_quasi_adequate:
-        raise NotQuasiAdequate("extraction needs a quasi-adequate ambient semigroup")
-    if not transversal_profile(S, D).is_admissible:
-        raise NotAdmissible("extraction needs an admissible transversal")
-
+    """extract_structure past its gates, also returning the passing validation report."""
     s0_sub, s0_parent = restrict(S, D.s0)
     i_band, i_parent = restrict(S, D.i_set)
     lam_band, lam_parent = restrict(S, D.lambda_set)
@@ -103,21 +111,23 @@ def _extract_structure(S: FiniteSemigroup,
 
 def extract_action(S: FiniteSemigroup, D: TransversalDecomposition) -> ActionTable:
     """Recover the left action x . e = e(x e) of the transversal on I."""
-    return _extract_action(S, D)[0]
-
-
-def _extract_action(S: FiniteSemigroup,
-                    D: TransversalDecomposition) -> tuple[ActionTable, CheckReport]:
-    """extract_action, also returning the passing validation report."""
     prof = abundance_profile(S)
     if not prof.is_left_adequate or not prof.is_quasi_adequate:
         raise NotLeftAdequate("extraction needs a left adequate, quasi-adequate semigroup")
     if not transversal_profile(S, D).is_admissible:
         raise NotAdmissible("extraction needs an admissible transversal")
-    s0_sub, s0_parent = restrict(S, D.s0)
-    sprof = abundance_profile(s0_sub)
+    s0 = restrict(S, D.s0)
+    sprof = abundance_profile(s0[0])
     if not (sprof.is_adequate and sprof.is_left_ample):
         raise NotLeftAmple("the transversal must be left ample")
+    return _extract_action(S, D, s0)[0]
+
+
+def _extract_action(S: FiniteSemigroup, D: TransversalDecomposition,
+                    s0) -> tuple[ActionTable, CheckReport]:
+    """extract_action past its gates, given s0 = restrict(S, D.s0); also
+    returning the passing validation report."""
+    s0_sub, s0_parent = s0
     i_band, i_parent = restrict(S, D.i_set)
     s0_back = {p: i for i, p in enumerate(s0_parent)}
     i_back = {p: i for i, p in enumerate(i_parent)}
@@ -196,8 +206,9 @@ class RoundtripReport:
     """Outcome of rebuilding S from its extracted structure data.
 
     ``iso`` is the verified bijection x -> (e_x, xbar, f_x) as an index map
-    into the rebuilt triple semigroup; ``checks`` records every comparison
-    that was run, including the optional semidirect and spined legs.
+    into the rebuilt triple semigroup; ``checks`` names every leg. Each
+    applicable leg certified its map, except ``spined_theta_iso``, which
+    the other legs prove (see roundtrip).
     """
 
     rebuilt: BuiltSemigroup
@@ -205,94 +216,65 @@ class RoundtripReport:
     checks: CheckReport
 
 
+def _certify(leg: str, S: FiniteSemigroup, built: BuiltSemigroup, coords) -> tuple[int, ...]:
+    """The map sending x to the element of ``built`` named ``coords[x]`` in
+    its legend, as an index map; raises IsoFailed((leg, witness)) unless it
+    is an isomorphism from S."""
+    index = built.legend_index()
+    phi = tuple(index.get(c) for c in coords)
+    witness = _iso_witness(S, built.w, phi)
+    if witness is not None:
+        raise IsoFailed((leg, witness))
+    return phi
+
+
 def roundtrip(S: FiniteSemigroup, D: TransversalDecomposition) -> RoundtripReport:
     """Extract, rebuild and certify x -> (e_x, xbar, f_x) as an isomorphism.
 
     Left adequate inputs with a left ample transversal additionally get the
-    semidirect leg, and quasi-ideal inputs the spined leg; each leg must
-    reproduce S up to the stated isomorphism or the roundtrip fails.
+    semidirect leg, certifying x -> (e_x, xbar), and quasi-ideal inputs the
+    spined leg, certifying x -> (e_x xbar, xbar f_x). Each leg must reproduce
+    S up to its map or the roundtrip fails with IsoFailed((leg, witness)).
+
+    The map theta: (g, x, l) -> (gx, xl) from the triple semigroup onto the
+    spined product is not compared: it sends iso(x) = (e_x, xbar, f_x) to
+    (e_x xbar, xbar f_x), the spined image of x. So theta is the spined map
+    composed with the inverse of iso, an isomorphism once both legs pass.
     """
-    entries: list[CheckEntry] = []
+    tprof = _require_extractable(S, D)
     si, report = _extract_structure(S, D)
-    entries.append(CheckEntry("structure_conditions", True, True))
+    entries = [CheckEntry("structure_conditions", True, True)]
     built = _build_w(si, report)
 
     s0_back = {p: i for i, p in enumerate(D.s0)}
     i_back = {p: i for i, p in enumerate(D.i_set)}
     lam_back = {p: i for i, p in enumerate(D.lambda_set)}
-    legend_index = built.legend_index()
-    iso = []
-    for x in range(S.order):
-        triple = (i_back[D.e_of[x]], s0_back[D.bar_of[x]], lam_back[D.f_of[x]])
-        wi = legend_index.get(triple)
-        if wi is None:
-            raise IsoFailed((x, triple))
-        iso.append(wi)
-    if len(set(iso)) != S.order or built.w.order != S.order:
-        raise IsoFailed(("not_bijective", len(set(iso)), built.w.order))
-    bad = is_morphism(S, built.w, tuple(iso))
-    if bad is not None:
-        raise IsoFailed(bad)
+    e_of, bar_of, f_of = D.e_of, D.bar_of, D.f_of
+    xs = range(S.order)
+    iso = _certify("w", S, built,
+                   [(i_back[e_of[x]], s0_back[bar_of[x]], lam_back[f_of[x]]) for x in xs])
     entries.append(CheckEntry("w_isomorphism", True, True))
 
-    prof = abundance_profile(S)
-    s0_sub, _ = restrict(S, D.s0)
-    s0_prof = abundance_profile(s0_sub)
-    if prof.is_left_adequate and s0_prof.is_left_ample:
-        sb = _build_semidirect(*_extract_action(S, D))
-        sidx = sb.legend_index()
-        iso2 = []
-        for x in range(S.order):
-            pair = (i_back[D.e_of[x]], s0_back[D.bar_of[x]])
-            wi = sidx.get(pair)
-            if wi is None:
-                raise IsoFailed((x, pair))
-            iso2.append(wi)
-        if len(set(iso2)) != S.order or sb.w.order != S.order:
-            raise IsoFailed(("semidirect_not_bijective", len(set(iso2)), sb.w.order))
-        if is_morphism(S, sb.w, tuple(iso2)) is not None:
-            raise IsoFailed(("semidirect", is_morphism(S, sb.w, tuple(iso2))))
+    s0 = restrict(S, D.s0)
+    if abundance_profile(S).is_left_adequate and abundance_profile(s0[0]).is_left_ample:
+        sb = _build_semidirect(*_extract_action(S, D, s0))
+        _certify("semidirect", S, sb, [(i_back[e_of[x]], s0_back[bar_of[x]]) for x in xs])
         entries.append(CheckEntry("semidirect_roundtrip", True, True))
     else:
         entries.append(CheckEntry("semidirect_roundtrip", False, None))
 
-    if transversal_profile(S, D).is_quasi_ideal:
+    if tprof.is_quasi_ideal:
         (l_part, d_l), (r_part, d_r), ident = extract_spined_factors(S, D)
         spb = build_spined_product(l_part, d_l, r_part, d_r, ident)
-        l_parent = sorted(set(D.l_set))
-        r_parent = sorted(set(D.r_set))
-        l_back = {p: i for i, p in enumerate(l_parent)}
-        r_back = {p: i for i, p in enumerate(r_parent)}
-        pidx = spb.legend_index()
+        l_back = {p: i for i, p in enumerate(sorted(set(D.l_set)))}
+        r_back = {p: i for i, p in enumerate(sorted(set(D.r_set)))}
         t = S.table
-        iso3 = []
-        for x in range(S.order):
-            pair = (l_back[t[D.e_of[x]][D.bar_of[x]]], r_back[t[D.bar_of[x]][D.f_of[x]]])
-            wi = pidx.get(pair)
-            if wi is None:
-                raise IsoFailed((x, "spined", pair))
-            iso3.append(wi)
-        if len(set(iso3)) != S.order or spb.w.order != S.order:
-            raise IsoFailed(("spined_not_bijective", len(set(iso3)), spb.w.order))
-        if is_morphism(S, spb.w, tuple(iso3)) is not None:
-            raise IsoFailed(("spined", is_morphism(S, spb.w, tuple(iso3))))
+        _certify("spined", S, spb,
+                 [(l_back[t[e_of[x]][bar_of[x]]], r_back[t[bar_of[x]][f_of[x]]]) for x in xs])
         entries.append(CheckEntry("spined_roundtrip", True, True))
-
-        # triple coordinates map onto spined coordinates by (g, x, l) -> (gx, xl)
-        theta = []
-        for (g, x, l) in built.element_legend:
-            gp, xp, lp = D.i_set[g], D.s0[x], D.lambda_set[l]
-            pair = (l_back[t[gp][xp]], r_back[t[xp][lp]])
-            wi = pidx.get(pair)
-            if wi is None:
-                raise IsoFailed(("theta", (g, x, l)))
-            theta.append(wi)
-        if len(set(theta)) != built.w.order or is_morphism(
-                built.w, spb.w, tuple(theta)) is not None:
-            raise IsoFailed(("theta_morphism",))
         entries.append(CheckEntry("spined_theta_iso", True, True))
     else:
         entries.append(CheckEntry("spined_roundtrip", False, None))
         entries.append(CheckEntry("spined_theta_iso", False, None))
 
-    return RoundtripReport(rebuilt=built, iso=tuple(iso), checks=CheckReport(tuple(entries)))
+    return RoundtripReport(rebuilt=built, iso=iso, checks=CheckReport(tuple(entries)))

@@ -4,7 +4,8 @@ spined-product inputs.
 All files are plain JSON objects. Multiplication tables are row-major with
 table[a][b] = a*b. Map families are encoded sparsely: alpha and beta as
 objects keyed "x,y" whose values are objects keyed "f,g" mapping to an
-element index; actions as a single object keyed "x,e".
+element index; actions as a single object keyed "x,e". An element index is
+a JSON integer: true and false are refused, though Python reads them as ints.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def parse_semigroup(path) -> SemigroupFile:
         raise SchemaError(path, "subsets must be an object")
     for key, members in raw_subsets.items():
         if not isinstance(members, list) or not all(
-            isinstance(x, int) and 0 <= x < S.order for x in members
+            type(x) is int and 0 <= x < S.order for x in members
         ):
             raise SchemaError(path, f"subset {key!r} must list element indices")
         subsets[str(key)] = tuple(sorted(set(members)))
@@ -122,7 +123,7 @@ def _parse_family(obj, path, what) -> dict:
             raise SchemaError(path, f"{what}[{xy!r}] must be an object")
         entry = {}
         for fg, v in inner.items():
-            if not isinstance(v, int):
+            if not type(v) is int:
                 raise SchemaError(path, f"{what}[{xy!r}][{fg!r}] must be an integer")
             entry[_parse_pair_key(fg, path)] = v
         fam[_parse_pair_key(xy, path)] = entry
@@ -145,7 +146,7 @@ def _parse_embedding(obj, path, what) -> dict:
             key = int(k)
         except (TypeError, ValueError):
             raise SchemaError(path, f"{what} keys must be integers") from None
-        if not isinstance(v, int):
+        if not type(v) is int:
             raise SchemaError(path, f"{what}[{k!r}] must be an integer")
         out[key] = v
     return out
@@ -197,7 +198,7 @@ def parse_action_table(path) -> ActionTable:
         raise SchemaError(path, "action must be an object")
     act = {}
     for k, v in raw.items():
-        if not isinstance(v, int):
+        if not type(v) is int:
             raise SchemaError(path, f"action[{k!r}] must be an integer")
         act[_parse_pair_key(k, path)] = v
     return ActionTable(
@@ -245,7 +246,7 @@ def parse_spined_input(path) -> SpinedInput:
     for fieldname, S in (("left_transversal", left), ("right_transversal", right)):
         members = data[fieldname]
         if not isinstance(members, list) or not all(
-            isinstance(x, int) and 0 <= x < S.order for x in members
+            type(x) is int and 0 <= x < S.order for x in members
         ):
             raise SchemaError(path, f"{fieldname} must list element indices")
     identify = None

@@ -118,9 +118,6 @@ class RegularStructure:
     regular: tuple[int, ...]
     inverses: tuple[tuple[int, ...], ...]
 
-    def v(self, x: int) -> tuple[int, ...]:
-        return self.inverses[x]
-
 
 @lru_cache(maxsize=None)
 def regular_and_inverses(S: FiniteSemigroup) -> RegularStructure:

@@ -3,10 +3,14 @@ from functools import lru_cache
 
 import pytest
 
-from adequate.catalog import standard_catalog
+from adequate.catalog import catalog, standard_catalog
 from adequate.census import enumerate_semigroups
-from adequate.core import SUBSEMIGROUP_CAP
-from adequate.transversal import find_adequate_transversals, transversal_profile
+from adequate.core import SUBSEMIGROUP_CAP, direct_product
+from adequate.transversal import (
+    find_adequate_transversals,
+    transversal_profile,
+    verify_adequate_transversal,
+)
 
 
 def pytest_addoption(parser):
@@ -57,6 +61,17 @@ def admissible_pool(max_order: int):
         (name, S, D) for name, S, D in transversal_pool(max_order)
         if transversal_profile(S, D).is_admissible
     )
+
+
+def ladder_rung(key):
+    """sym_inv(3) x T with the product of the factors' first transversals, as
+    the benchmark's ladder builds it: rung34 for chain(1), rung68 for
+    left_zero(2)."""
+    base, T = catalog("sym_inv(3)"), catalog(key)
+    factor_s0 = find_adequate_transversals(T)[0].s0
+    S = direct_product(base, T)
+    s0 = [a * T.order + b for a in range(base.order) for b in factor_s0]
+    return S, verify_adequate_transversal(S, s0)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 
+from adequate.construct import build_spined_product
 from adequate.core import FiniteSemigroup, band_class, restrict
+from adequate.decompose import extract_spined_factors
 from adequate.greenstar import (
     abundance_profile,
     green_relations,
@@ -786,3 +788,33 @@ def _band_class_decomposition_ok(S, D):
                     if not gl.r.same(lband.table[a][b], l_back[uv]):
                         return False, ("r_product_escapes", u, v, l_parent[a], l_parent[b])
     return True, None
+
+
+# --- the roundtrip's composite map ----------------------------------------------
+
+
+def spined_theta_scan(S: FiniteSemigroup, D: TransversalDecomposition, rebuilt):
+    """theta: (g, x, l) -> (gx, xl) from the rebuilt triple semigroup onto a
+    fresh spined rebuild of S, scanned over every pair of elements. None when
+    theta is a bijective morphism, else the first failure: a triple whose
+    image is not a spined element, a repeated image, or a pair (a, b)."""
+    (l_part, d_l), (r_part, d_r), ident = extract_spined_factors(S, D)
+    spined = build_spined_product(l_part, d_l, r_part, d_r, ident)
+    l_back = {p: i for i, p in enumerate(sorted(set(D.l_set)))}
+    r_back = {p: i for i, p in enumerate(sorted(set(D.r_set)))}
+    pidx = spined.legend_index()
+    t = S.table
+    theta = []
+    for g, x, l in rebuilt.element_legend:
+        gp, xp, lp = D.i_set[g], D.s0[x], D.lambda_set[l]
+        image = pidx.get((l_back[t[gp][xp]], r_back[t[xp][lp]]))
+        if image is None:
+            return ("theta_off_carrier", (g, x, l))
+        theta.append(image)
+    if sorted(theta) != list(range(spined.w.order)):
+        return ("theta_not_bijective",)
+    w, p = rebuilt.w.table, spined.w.table
+    for a, b in itertools.product(range(rebuilt.w.order), repeat=2):
+        if theta[w[a][b]] != p[theta[a]][theta[b]]:
+            return ("theta_morphism", a, b)
+    return None

@@ -168,6 +168,13 @@ class TestCaps:
         assert code == 0
         assert "gamma skipped: order 11 above cap 10" in out
 
+    def test_boolean_subset_is_a_schema_error(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"table": [[0, 0], [0, 1]], "subsets": {"t": [True]}}))
+        code, out, err = run(capsys, "decompose", str(path), "--transversal", "t")
+        assert code == 2 and out == ""
+        assert "must list element indices" in err
+
     @pytest.mark.parametrize("cap", ["0", "1"])
     def test_max_order_zero_is_a_cap_for_transversals(self, capsys, cap):
         code, out, err = run(capsys, "--max-order", cap, "transversals", str(DATA / "rect22.json"))

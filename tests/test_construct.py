@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conftest import admissible_pool
+from conftest import admissible_pool, ladder_rung
+from adequate import construct
 from adequate.catalog import catalog
 from adequate.core import (
     FiniteSemigroup,
@@ -24,6 +25,7 @@ from adequate.errors import (
     NotAdequate,
     NotLeftAdequate,
     NotQuasiIdeal,
+    PostconditionFailed,
     TransversalInvalid,
     TransversalMismatch,
 )
@@ -42,7 +44,7 @@ from adequate.construct import (
 )
 from adequate.decompose import extract_action, extract_structure
 from adequate.fileio import parse_action_table
-from adequate.transversal import transversal_profile, verify_adequate_transversal
+from adequate.transversal import CheckReport, transversal_profile, verify_adequate_transversal
 
 DATA = Path(__file__).parent / "data"
 TRIV = validate_table([[0]])
@@ -534,6 +536,98 @@ class TestSemidirectCarrier:
 
     def test_action_file(self):
         self.assert_matches_ambient(parse_action_table(DATA / "lz2_action.json"))
+
+
+def _forge_pass(report, name):
+    """report with the entry ``name`` marked as passed."""
+    return CheckReport(tuple(
+        dataclasses.replace(e, passed=True, witness=None) if e.name == name else e
+        for e in report.entries
+    ))
+
+
+# the left zero and the right zero semigroup on {0, 2}, with 1 adjoined as identity
+LZ2_ONE = validate_table([[0, 0, 0], [0, 1, 2], [2, 2, 2]])
+RZ2_ONE = validate_table([[0, 0, 2], [0, 1, 2], [0, 2, 2]])
+
+
+class TestBandCertificates:
+    """The builders certify I(W) = I and Lambda(W) = Lambda by checking the
+    coordinate projections; find_isomorphism is the searching oracle."""
+
+    @staticmethod
+    def both_verdicts(b, subset, band, k):
+        projected = construct._projection_witness(b.w, b.element_legend, subset, band, k)
+        searched = find_isomorphism(restrict(b.w, subset)[0], band)
+        return projected is None, searched is not None
+
+    def test_iso_witness_kinds(self):
+        # the constant map onto an idempotent respects products: only the
+        # bijectivity test rejects it
+        assert construct._iso_witness(LZ2, LZ2, (0, 0)) == "not_bijective"
+        assert construct._iso_witness(LZ2, LZ2, (0, None)) == "not_bijective"
+        assert construct._iso_witness(LZ2, LZ2, (0, 2)) == "not_bijective"
+        assert construct._iso_witness(LZ2, RZ2, (0, 1)) == (0, 1)
+        assert construct._iso_witness(LZ2, LZ2, (1, 0)) is None
+
+    def test_projection_agrees_with_search(self, admissible_corpus):
+        inputs = list(admissible_corpus)
+        inputs += [(key, *ladder_rung(key)) for key in ("chain(1)", "left_zero(2)")]
+        general = semidirect = 0
+        for name, S, D in inputs:
+            prof = abundance_profile(S)
+            if not prof.is_quasi_adequate:
+                continue
+            si = extract_structure(S, D)
+            b = build_w(si)
+            assert dict(b.condition_flags)["condition_5"], name
+            assert self.both_verdicts(b, b.decomposition.i_set, si.i_band, 0) == (True, True)
+            assert self.both_verdicts(
+                b, b.decomposition.lambda_set, si.lambda_band, 2) == (True, True)
+            general += 1
+            sprof = abundance_profile(restrict(S, D.s0)[0])
+            if prof.is_left_adequate and sprof.is_left_ample:
+                at = extract_action(S, D)
+                b = build_semidirect(at)
+                assert dict(b.condition_flags)["condition_3"], name
+                assert self.both_verdicts(b, b.decomposition.i_set, at.i_band, 0) == (True, True)
+                semidirect += 1
+        assert general > 0 and semidirect > 0
+
+    @pytest.mark.parametrize("S, message", [
+        (LZ2_ONE, "I(W) is not isomorphic to the left band"),
+        (RZ2_ONE, "Lambda(W) is not isomorphic to the right band"),
+    ])
+    def test_general_certificate_fails_where_condition_5_does(self, S, message):
+        # one alpha or beta value moved inside its class keeps (1)-(4) and
+        # breaks (5); a report that claims (5) then sends the build to a
+        # certificate that must fail
+        D = verify_adequate_transversal(S, (0, 1))
+        for si in in_domain_mutations(extract_structure(S, D)):
+            report = validate_structure_input(si)
+            if report.ok(*(f"condition_{k}" for k in range(1, 5))) and not report.ok("condition_5"):
+                break
+        else:
+            pytest.fail("no mutation breaks (5) alone")
+        with pytest.raises(PostconditionFailed) as exc:
+            construct._build_w(si, _forge_pass(report, "condition_5"))
+        assert str(exc.value) == message
+
+    def test_semidirect_certificate_fails_where_condition_3_does(self):
+        D = verify_adequate_transversal(LZ2_ONE, (0, 1))
+        others = ("s0_adequate", "s0_left_ample", "i_band_left_regular", "i_transversal",
+                  "action_total", "action_associative", "action_distributive",
+                  "condition_1", "condition_2")
+        for at in TestCondition2AgainstPairwiseOracle.single_entry_mutations(
+                extract_action(LZ2_ONE, D)):
+            report = validate_action_table(at)
+            if report.ok(*others) and not report.ok("condition_3"):
+                break
+        else:
+            pytest.fail("no mutation breaks (3) alone")
+        with pytest.raises(PostconditionFailed) as exc:
+            construct._build_semidirect(at, _forge_pass(report, "condition_3"))
+        assert str(exc.value) == "I(W) is not isomorphic to the acting band"
 
 
 class TestSection4:

@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
-from conftest import admissible_pool
+import oracles
+from conftest import admissible_pool, ladder_rung
+from adequate import construct, decompose
 from adequate.catalog import catalog
 from adequate.core import find_isomorphism, validate_table
-from adequate.errors import NotAdmissible, NotQuasiAdequate, NotQuasiIdeal
+from adequate.errors import IsoFailed, NotAdmissible, NotQuasiAdequate, NotQuasiIdeal
 from adequate.greenstar import abundance_profile, star_plus
 from adequate.decompose import (
     extract_action,
@@ -212,3 +216,67 @@ class TestRoundtrip:
             triple = rt.rebuilt.element_legend[rt.iso[x]]
             assert triple == (i_back[D.e_of[x]], s0_back[D.bar_of[x]],
                               lam_back[D.f_of[x]])
+
+
+def _swap_first_two(built):
+    legend = list(built.element_legend)
+    legend[0], legend[1] = legend[1], legend[0]
+    return dataclasses.replace(built, element_legend=tuple(legend))
+
+
+def _repeat_first(built):
+    legend = list(built.element_legend)
+    legend[1] = legend[0]
+    return dataclasses.replace(built, element_legend=tuple(legend))
+
+
+class TestRoundtripCertificates:
+    def test_theta_scan_passes_wherever_the_legs_prove_it(self, admissible_corpus):
+        inputs = list(admissible_corpus)
+        inputs += [(key, *ladder_rung(key)) for key in ("chain(1)", "left_zero(2)")]
+        scanned = 0
+        for name, S, D in inputs:
+            if not abundance_profile(S).is_quasi_adequate:
+                continue
+            rt = roundtrip(S, D)
+            theta = rt.checks.entry("spined_theta_iso")
+            assert theta.applicable == transversal_profile(S, D).is_quasi_ideal, name
+            if theta.applicable:
+                assert theta.passed, name
+                assert oracles.spined_theta_scan(S, D, rt.rebuilt) is None, name
+                scanned += 1
+        assert scanned > 0
+
+    def test_one_transversal_profile_per_roundtrip(self, monkeypatch):
+        lrb = catalog("lrb3")
+        D = verify_adequate_transversal(lrb, (0, 1))
+        calls = []
+        for module in (construct, decompose):
+            def counted(S, D, real=module.transversal_profile):
+                calls.append((S, D))
+                return real(S, D)
+            monkeypatch.setattr(module, "transversal_profile", counted)
+        rt = roundtrip(lrb, D)
+        # the semidirect leg runs too, and must not profile (S, D) a second time
+        assert rt.checks.entry("semidirect_roundtrip").passed
+        assert sum(1 for T, E in calls if T is lrb and E is D) == 1
+
+    @pytest.mark.parametrize("leg, builder", [
+        ("w", "_build_w"),
+        ("semidirect", "_build_semidirect"),
+        ("spined", "build_spined_product"),
+    ])
+    @pytest.mark.parametrize("corrupt, witness", [
+        # brandt2's zero and a trade places: the zero is sent to a, and a.a = 0
+        (_swap_first_two, (0, 0)),
+        (_repeat_first, "not_bijective"),
+    ])
+    def test_each_leg_reports_its_first_witness(self, monkeypatch, leg, builder,
+                                                corrupt, witness):
+        b2 = catalog("brandt2")
+        D = verify_adequate_transversal(b2, range(5))
+        real = getattr(decompose, builder)
+        monkeypatch.setattr(decompose, builder, lambda *args: corrupt(real(*args)))
+        with pytest.raises(IsoFailed) as exc:
+            roundtrip(b2, D)
+        assert exc.value.witness == (leg, witness)

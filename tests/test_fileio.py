@@ -150,3 +150,51 @@ class TestSpinedFiles:
         path.write_text(json.dumps(obj))
         with pytest.raises(SchemaError):
             parse_spined_input(path)
+
+
+class TestBooleansAreNotIndices:
+    """JSON true and false are Python ints; no index field accepts them."""
+
+    @staticmethod
+    def write(tmp_path, obj):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    def test_subset_member(self, tmp_path):
+        path = self.write(tmp_path, {"table": [[0, 0], [0, 1]], "subsets": {"t": [True]}})
+        with pytest.raises(SchemaError, match="subset 't' must list element indices"):
+            parse_semigroup(path)
+
+    @pytest.mark.parametrize("field", ["left_transversal", "right_transversal"])
+    def test_spined_transversal_member(self, tmp_path, field):
+        obj = json.loads((DATA / "spined_rb22.json").read_text())
+        obj[field] = [False]
+        with pytest.raises(SchemaError, match=f"{field} must list element indices"):
+            parse_spined_input(self.write(tmp_path, obj))
+
+    def test_identify_value(self, tmp_path):
+        obj = json.loads((DATA / "spined_rb22.json").read_text())
+        obj["identify"] = {"0": False}
+        with pytest.raises(SchemaError, match="identify"):
+            parse_spined_input(self.write(tmp_path, obj))
+
+    @pytest.mark.parametrize("field", ["e0_in_i", "e0_in_lambda"])
+    def test_embedding_value(self, tmp_path, field):
+        obj = json.loads((DATA / "lz2_structure.json").read_text())
+        obj[field] = {"0": False}
+        with pytest.raises(SchemaError, match=field):
+            parse_structure_input(self.write(tmp_path, obj))
+
+    @pytest.mark.parametrize("family", ["alpha", "beta"])
+    def test_family_value(self, tmp_path, family):
+        obj = json.loads((DATA / "lz2_structure.json").read_text())
+        obj[family]["0,0"]["0,1"] = False
+        with pytest.raises(SchemaError, match=family):
+            parse_structure_input(self.write(tmp_path, obj))
+
+    def test_action_value(self, tmp_path):
+        obj = json.loads((DATA / "lz2_action.json").read_text())
+        obj["action"]["0,1"] = False
+        with pytest.raises(SchemaError, match="action"):
+            parse_action_table(self.write(tmp_path, obj))

@@ -3,9 +3,9 @@ import dataclasses
 import pytest
 
 import oracles
-from conftest import census_pool, transversal_pool
+from conftest import census_pool, ladder_rung, transversal_pool
 from adequate.catalog import catalog
-from adequate.core import direct_product, enumerate_subsemigroups, restrict, validate_table
+from adequate.core import enumerate_subsemigroups, restrict, validate_table
 from adequate.errors import (
     AmbiguousDecomposition,
     InvariantBroken,
@@ -320,13 +320,25 @@ def _single_entry_corruptions(S, D):
                 yield field, dataclasses.replace(D, **{field: tuple(changed)})
 
 
-def _ladder_rung(key):
-    """sym_inv(3) x T with the product of the factors' first transversals."""
-    base, T = catalog("sym_inv(3)"), catalog(key)
-    factor_s0 = find_adequate_transversals(T)[0].s0
-    S = direct_product(base, T)
-    s0 = [a * T.order + b for a in range(base.order) for b in factor_s0]
-    return S, verify_adequate_transversal(S, s0)
+def _band_set_corruptions(S, D):
+    """D with one element dropped from, or added to, i_set or lambda_set; a
+    drop that would leave the set empty is skipped."""
+    for field in ("i_set", "lambda_set"):
+        members = getattr(D, field)
+        if len(members) > 1:
+            for x in members:
+                yield field, dataclasses.replace(D, **{field: tuple(m for m in members if m != x)})
+        for x in range(S.order):
+            if x not in members:
+                yield field, dataclasses.replace(D, **{field: tuple(sorted((*members, x)))})
+
+
+# the entries that read I and Lambda as bands, and every witness kind they name
+BAND_ENTRIES = ("reg_subband_i_lambda", "e0_semilattice_transversal", "lx_rx_lemma")
+BAND_WITNESS_KINDS = (
+    "bands", "subband", "i_not_left_regular", "lambda_not_right_regular",
+    "i_not_covered", "lambda_not_covered", "l_class_not_left_zero", "r_class_not_right_zero",
+)
 
 
 # entries that share a pass, compare class ids, or pass by admissibility
@@ -340,7 +352,7 @@ FUSED_OR_IMPLIED = (
 class TestAuditAgainstScan:
     def test_reports_equal_the_scan_entry_for_entry(self, transversal_corpus):
         inputs = [(name, S, D) for name, S, D in transversal_corpus]
-        inputs += [(key, *_ladder_rung(key)) for key in ("chain(1)", "left_zero(2)")]
+        inputs += [(key, *ladder_rung(key)) for key in ("chain(1)", "left_zero(2)")]
         inputs += [
             (f"{name} {field}", S, case)
             for name, S, D in transversal_corpus
@@ -353,6 +365,17 @@ class TestAuditAgainstScan:
             if isinstance(expected, list):
                 failed.update(row[0] for row in expected if row[1] and not row[2])
         assert set(FUSED_OR_IMPLIED) <= failed, set(FUSED_OR_IMPLIED) - failed
+
+    def test_band_set_corruptions_match_the_scan(self, transversal_corpus):
+        kinds = set()
+        for name, S, D in transversal_corpus:
+            for field, case in _band_set_corruptions(S, D):
+                expected = _audit_outcome(oracles.audit_identities_scan, S, case)
+                assert _audit_outcome(audit_identities, S, case) == expected, (name, field)
+                if isinstance(expected, list):
+                    kinds.update(row[3][0] for row in expected
+                                 if row[0] in BAND_ENTRIES and row[1] and not row[2])
+        assert set(BAND_WITNESS_KINDS) <= kinds, set(BAND_WITNESS_KINDS) - kinds
 
     def test_admissibility_implies_the_bar_entries(self, transversal_corpus):
         bar_entries = ("bar_proposition_lambda_i", "bar_proposition_l_r", "bar_proposition_s0")
