@@ -5,7 +5,9 @@ The extraction formulas come from the converse halves of the structure
 results: alpha_xy(a, b) = e(x a b y), beta_xy(a, b) = f(x a b y), the action
 x . e = e(x e), and the spined factors L = {x : f_x = f_xbar},
 R = {x : e_x = e_xbar}. Every well-definedness claim those formulas rely on
-is asserted during extraction, not assumed.
+is checked, not assumed, and by one prover each: restrict proves every
+restricted set closed, and build_spined_product's gates prove the spined
+parts left and right adequate with quasi-ideal transversals.
 """
 
 from __future__ import annotations
@@ -164,6 +166,10 @@ def extract_spined_factors(S: FiniteSemigroup, D: TransversalDecomposition):
 
     Returns ((l_part, d_l), (r_part, d_r), identify) where identify matches
     the two transversal copies through the shared ambient elements.
+
+    Past the gates on (S, D), restrict proves L and R closed and the verifier
+    proves d_l and d_r. build_spined_product's gates, not this function,
+    prove L left adequate, R right adequate and both transversals quasi-ideal.
     """
     if not abundance_profile(S).is_quasi_adequate:
         raise NotQuasiAdequate("spined extraction needs a quasi-adequate semigroup")
@@ -173,30 +179,12 @@ def extract_spined_factors(S: FiniteSemigroup, D: TransversalDecomposition):
     if not tprof.is_admissible:
         raise NotAdmissible("spined extraction needs an admissible transversal")
 
-    lset, rset = set(D.l_set), set(D.r_set)
-    for a in D.l_set:
-        for b in D.l_set:
-            if S.table[a][b] not in lset:
-                raise InvariantBroken(f"left part is not closed at ({a},{b})")
-    for a in D.r_set:
-        for b in D.r_set:
-            if S.table[a][b] not in rset:
-                raise InvariantBroken(f"right part is not closed at ({a},{b})")
     l_part, l_parent = restrict(S, D.l_set)
     r_part, r_parent = restrict(S, D.r_set)
     l_back = {p: i for i, p in enumerate(l_parent)}
     r_back = {p: i for i, p in enumerate(r_parent)}
-
-    if not abundance_profile(l_part).is_left_adequate:
-        raise InvariantBroken("left part is not left adequate")
-    if not abundance_profile(r_part).is_right_adequate:
-        raise InvariantBroken("right part is not right adequate")
-
     d_l = verify_adequate_transversal(l_part, tuple(l_back[s] for s in D.s0))
     d_r = verify_adequate_transversal(r_part, tuple(r_back[s] for s in D.s0))
-    for part, d in ((l_part, d_l), (r_part, d_r)):
-        if not transversal_profile(part, d).is_quasi_ideal:
-            raise InvariantBroken("restricted transversal is not a quasi-ideal")
     identify = {l_back[s]: r_back[s] for s in D.s0}
     return (l_part, d_l), (r_part, d_r), identify
 

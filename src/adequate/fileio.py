@@ -46,6 +46,8 @@ def _semigroup_from_obj(obj, path, where="") -> FiniteSemigroup:
     if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
         raise SchemaError(path, f"{where}table must be a list of rows")
     order = obj.get("order", len(table))
+    if type(order) is not int:
+        raise SchemaError(path, f"{where}order must be an integer")
     if order != len(table):
         raise SchemaError(path, f"{where}order {order} does not match {len(table)} rows")
     for i, row in enumerate(table):

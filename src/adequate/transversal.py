@@ -79,6 +79,11 @@ def is_star_subsemigroup(S: FiniteSemigroup, U) -> bool:
             p = S.table[a][b]
             if p not in mset:
                 raise NotClosed(a, b, p)
+    return _has_star_idempotents(S, members)
+
+
+def _has_star_idempotents(S: FiniteSemigroup, members) -> bool:
+    """is_star_subsemigroup on a closed, sorted member list."""
     stars = star_relations(S)
     eu = [e for e in members if S.is_idempotent(e)]
     for a in members:
@@ -109,14 +114,13 @@ def _verify_cached(S: FiniteSemigroup, s0: tuple) -> TransversalDecomposition:
     mset = set(members)
     if not members:
         raise NotAdequateSub("empty candidate")
-    for a in members:
-        for b in members:
-            if S.table[a][b] not in mset:
-                raise NotAdequateSub(f"not closed: {a}*{b} = {S.table[a][b]} escapes")
-    sub, to_parent = restrict(S, members)
+    try:
+        sub, to_parent = restrict(S, members)
+    except NotClosed as exc:
+        raise NotAdequateSub("not closed: %d*%d = %d escapes" % exc.witness) from None
     if not abundance_profile(sub).is_adequate:
         raise NotAdequateSub("candidate is not adequate")
-    if not is_star_subsemigroup(S, members):
+    if not _has_star_idempotents(S, members):
         raise NotStarSub("candidate does not inherit the starred relations")
 
     sp = star_plus(sub)
@@ -506,7 +510,8 @@ def _audit_identities(S: FiniteSemigroup, D: TransversalDecomposition,
 
     # four equivalent characterisations of quasi-adequacy; all-or-none
     c1 = prof.is_quasi_adequate
-    c3 = all(
+    # inv0 is read at i and l only once both sets are known to be regular
+    c3 = reg_set.issuperset(D.i_set) and reg_set.issuperset(D.lambda_set) and all(
         t[l][i] in reg_set and inv0[t[l][i]] == t[inv0[i]][inv0[l]]
         for l in D.lambda_set for i in D.i_set
     )
@@ -617,50 +622,41 @@ def _semilattice_transversal_ok(S, D, reg, subbands, i_left, l_right):
 
 
 def _band_class_decomposition_ok(S, D, i_restricted, l_restricted):
-    iband, i_parent = i_restricted
-    lband, l_parent = l_restricted
-    gi = green_relations(iband)
-    gl = green_relations(lband)
-    i_back = {p: i for i, p in enumerate(i_parent)}
-    l_back = {p: i for i, p in enumerate(l_parent)}
-    # L-classes of transversal members in the band on I
+    """For (I, L, left zero), then (Lambda, R, right zero), each band given as
+    restrict's pair: every u in E0 lies in the band, its class there is a left
+    (right) zero semigroup, these classes cover the band, and the classes of
+    u and v multiply into the class of uv. Returns (True, None) or (False,
+    the first witness)."""
+    return (_band_classes_ok(S, D.e0, i_restricted, "l", "i")
+            or _band_classes_ok(S, D.e0, l_restricted, "r", "lambda")
+            or (True, None))
+
+
+def _band_classes_ok(S, e0, restricted, rel, name):
+    """One side of _band_class_decomposition_ok; None when it holds."""
+    band, parent = restricted
+    green = getattr(green_relations(band), rel)
+    back = {p: i for i, p in enumerate(parent)}
+    side = "left" if rel == "l" else "right"
     covered = set()
-    for u in D.e0:
-        cls = [i_parent[x] for x in gi.l.classes[gi.l.class_of[i_back[u]]]]
+    for u in e0:
+        if u not in back:
+            return False, (f"e0_not_in_{name}", u)
+        cls = [parent[x] for x in green.classes[green.class_of[back[u]]]]
         covered.update(cls)
         for a in cls:
             for b in cls:
-                if S.table[a][b] != a:
-                    return False, ("l_class_not_left_zero", u, a, b)
-    if covered != set(D.i_set):
-        return False, ("i_not_covered", tuple(sorted(set(D.i_set) - covered)))
-    for u in D.e0:
-        for v in D.e0:
-            uv = S.table[u][v]
-            cu = gi.l.classes[gi.l.class_of[i_back[u]]]
-            cv = gi.l.classes[gi.l.class_of[i_back[v]]]
+                if S.table[a][b] != (a if rel == "l" else b):
+                    return False, (f"{rel}_class_not_{side}_zero", u, a, b)
+    if covered != set(parent):
+        return False, (f"{name}_not_covered", tuple(sorted(set(parent) - covered)))
+    for u in e0:
+        cu = green.classes[green.class_of[back[u]]]
+        for v in e0:
+            cv = green.classes[green.class_of[back[v]]]
+            uv = back[S.table[u][v]]
             for a in cu:
                 for b in cv:
-                    prod = iband.table[a][b]
-                    if not gi.l.same(prod, i_back[uv]):
-                        return False, ("l_product_escapes", u, v, i_parent[a], i_parent[b])
-    covered = set()
-    for u in D.e0:
-        cls = [l_parent[x] for x in gl.r.classes[gl.r.class_of[l_back[u]]]]
-        covered.update(cls)
-        for a in cls:
-            for b in cls:
-                if S.table[a][b] != b:
-                    return False, ("r_class_not_right_zero", u, a, b)
-    if covered != set(D.lambda_set):
-        return False, ("lambda_not_covered", tuple(sorted(set(D.lambda_set) - covered)))
-    for u in D.e0:
-        for v in D.e0:
-            uv = S.table[u][v]
-            cu = gl.r.classes[gl.r.class_of[l_back[u]]]
-            cv = gl.r.classes[gl.r.class_of[l_back[v]]]
-            for a in cu:
-                for b in cv:
-                    if not gl.r.same(lband.table[a][b], l_back[uv]):
-                        return False, ("r_product_escapes", u, v, l_parent[a], l_parent[b])
-    return True, None
+                    if not green.same(band.table[a][b], uv):
+                        return False, (f"{rel}_product_escapes", u, v, parent[a], parent[b])
+    return None

@@ -651,7 +651,8 @@ def audit_identities_scan(S: FiniteSemigroup, D: TransversalDecomposition) -> Ch
         inv0[t[x][y]] == t[inv0[y]][inv0[x]] for x in regular for y in regular
     )
     c3 = all(
-        t[l][i] in reg_set and inv0[t[l][i]] == t[inv0[i]][inv0[l]]
+        inv0[i] is not None and inv0[l] is not None
+        and t[l][i] in reg_set and inv0[t[l][i]] == t[inv0[i]][inv0[l]]
         for l in D.lambda_set for i in D.i_set
     )
     c4 = {t[i][l] for i in D.i_set for l in D.lambda_set} == set(S.idempotents())
@@ -750,6 +751,8 @@ def _band_class_decomposition_ok(S, D):
     # L-classes of transversal members in the band on I
     covered = set()
     for u in D.e0:
+        if u not in D.i_set:
+            return False, ("e0_not_in_i", u)
         cls = [i_parent[x] for x in gi.l.classes[gi.l.class_of[i_back[u]]]]
         covered.update(cls)
         for a in cls:
@@ -770,6 +773,8 @@ def _band_class_decomposition_ok(S, D):
                         return False, ("l_product_escapes", u, v, i_parent[a], i_parent[b])
     covered = set()
     for u in D.e0:
+        if u not in D.lambda_set:
+            return False, ("e0_not_in_lambda", u)
         cls = [l_parent[x] for x in gl.r.classes[gl.r.class_of[l_back[u]]]]
         covered.update(cls)
         for a in cls:

@@ -81,6 +81,22 @@ class TestDecompose:
         names = {c["name"] for c in report["roundtrip"]["checks"] if c["passed"]}
         assert {"w_isomorphism", "semidirect_roundtrip", "spined_roundtrip"} <= names
 
+    def test_open_subset_is_not_verified(self, capsys, tmp_path):
+        obj = json.loads((DATA / "brandt2.json").read_text())
+        obj["subsets"] = {"t": [1, 2]}
+        path = tmp_path / "b12.json"
+        path.write_text(json.dumps(obj))
+        reason = "NotAdequateSub: not closed: 1*1 = 0 escapes"
+        code, out, err = run(capsys, "decompose", str(path), "--transversal", "t")
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["brandt2: transversal [1, 2]", "verified: False",
+                                    f"reason: {reason}"]
+        code, out, err = run(capsys, "--json", "decompose", str(path), "--transversal", "t")
+        assert code == 1 and err == ""
+        assert json.loads(out) == {"command": "decompose", "name": "brandt2",
+                                   "transversal": [1, 2], "verified": False,
+                                   "reason": reason}
+
 
 class TestConstruct:
     def test_general_from_file(self, capsys):
@@ -107,6 +123,28 @@ class TestConstruct:
         assert code == 0
         report = json.loads(out)
         assert report["order"] == 4
+
+    def test_spined_matches_the_copies_without_identify(self, capsys, tmp_path):
+        obj = json.loads((DATA / "spined_rb22.json").read_text())
+        del obj["identify"]
+        path = tmp_path / "noid.json"
+        path.write_text(json.dumps(obj))
+        code, matched, _ = run(capsys, "--json", "construct", "spined", str(path))
+        assert code == 0
+        code, given, _ = run(capsys, "--json", "construct", "spined",
+                             str(DATA / "spined_rb22.json"))
+        assert code == 0 and matched == given
+
+    def test_spined_copies_that_do_not_match_need_identify(self, capsys, tmp_path):
+        path = tmp_path / "unmatched.json"
+        path.write_text(json.dumps({
+            "left": {"table": [[0, 0], [1, 1]]}, "left_transversal": [0],
+            "right": {"table": [[0, 0], [0, 1]]}, "right_transversal": [0, 1],
+        }))
+        code, out, err = run(capsys, "construct", "spined", str(path))
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["construction rejected: SemigroupError: transversal "
+                                    "copies are not isomorphic; supply 'identify'"]
 
     def test_corrupted_structure_is_math_failure(self, capsys, tmp_path):
         obj = json.loads((DATA / "lz2_structure.json").read_text())
@@ -174,6 +212,13 @@ class TestCaps:
         code, out, err = run(capsys, "decompose", str(path), "--transversal", "t")
         assert code == 2 and out == ""
         assert "must list element indices" in err
+
+    def test_boolean_order_is_a_schema_error(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"order": True, "table": [[0]]}))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert "order must be an integer" in err
 
     @pytest.mark.parametrize("cap", ["0", "1"])
     def test_max_order_zero_is_a_cap_for_transversals(self, capsys, cap):

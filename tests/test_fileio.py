@@ -65,6 +65,13 @@ class TestSemigroupFiles:
         with pytest.raises(SchemaError):
             parse_semigroup(path)
 
+    @pytest.mark.parametrize("order", [True, 1.0])
+    def test_order_must_be_an_integer(self, tmp_path, order):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"order": order, "table": [[0]]}))
+        with pytest.raises(SchemaError, match="order must be an integer"):
+            parse_semigroup(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json {")

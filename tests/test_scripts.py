@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to completion and report the known figures."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,16 @@ def test_sweep_bands(order, figures):
 def test_audit_catalog():
     done = run_script("scripts/audit_catalog.py")
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_unreached_raises():
+    done = run_script("scripts/unreached_raises.py", "-q", "-p", "no:cacheprovider",
+                      "tests/test_fileio.py")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    unexecuted, total = map(int, re.fullmatch(
+        r"(\d+) of (\d+) raise sites unexecuted", lines[-1]).groups())
+    # the file tests reach some raise sites, and every unexecuted one is listed
+    assert 0 < unexecuted < total
+    listed = [line for line in lines if re.fullmatch(r"src/adequate/\w+\.py:\d+", line)]
+    assert len(listed) == unexecuted

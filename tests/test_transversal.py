@@ -46,6 +46,30 @@ class TestStarSubsemigroup:
         with pytest.raises(NotClosed):
             is_star_subsemigroup(N2, (1,))
 
+    def test_not_closed_names_the_first_escaping_pair(self):
+        # every open subset of brandt2, given unsorted and with a repeat: the
+        # witness is the first (a, b) in sorted members x sorted members, and
+        # the verifier's message names the same pair
+        from itertools import combinations
+
+        b2 = catalog("brandt2")
+        t = b2.table
+        opened = 0
+        for k in range(1, 6):
+            for sub in combinations(range(5), k):
+                first = next(((a, b, t[a][b]) for a in sub for b in sub
+                              if t[a][b] not in sub), None)
+                if first is None:
+                    continue
+                opened += 1
+                with pytest.raises(NotClosed) as info:
+                    is_star_subsemigroup(b2, (*reversed(sub), sub[0]))
+                assert info.value.witness == first, sub
+                message = r"^not closed: %d\*%d = %d escapes$" % first
+                with pytest.raises(NotAdequateSub, match=message):
+                    verify_adequate_transversal(b2, sub)
+        assert opened > 0
+
     def test_nilpotent_member_fails(self):
         # the nonzero element of the null semigroup has no idempotent of the
         # subset in its starred classes
@@ -338,6 +362,7 @@ BAND_ENTRIES = ("reg_subband_i_lambda", "e0_semilattice_transversal", "lx_rx_lem
 BAND_WITNESS_KINDS = (
     "bands", "subband", "i_not_left_regular", "lambda_not_right_regular",
     "i_not_covered", "lambda_not_covered", "l_class_not_left_zero", "r_class_not_right_zero",
+    "e0_not_in_i", "e0_not_in_lambda",
 )
 
 
@@ -372,6 +397,9 @@ class TestAuditAgainstScan:
             for field, case in _band_set_corruptions(S, D):
                 expected = _audit_outcome(oracles.audit_identities_scan, S, case)
                 assert _audit_outcome(audit_identities, S, case) == expected, (name, field)
+                # a report, or a typed error from a gate the audit passes through
+                assert isinstance(expected, list) or issubclass(expected[0], SemigroupError), (
+                    name, field, expected)
                 if isinstance(expected, list):
                     kinds.update(row[3][0] for row in expected
                                  if row[0] in BAND_ENTRIES and row[1] and not row[2])
