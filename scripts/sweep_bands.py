@@ -16,7 +16,7 @@ sys.path.insert(0, "src")
 sys.path.insert(0, "tests")
 
 import oracles
-from adequate.census import band_tables, canonical_table
+from adequate.census import _iso_classes, band_tables
 from adequate.core import FiniteSemigroup, enumerate_subsemigroups
 from adequate.errors import SemigroupError
 from adequate.decompose import roundtrip
@@ -32,13 +32,9 @@ def main():
     ap.add_argument("order", type=int, nargs="?", default=5)
     args = ap.parse_args()
     started = time.time()
-    seen = set()
-    transversals = rebuilds = mismatches = audit_failures = 0
-    for table in band_tables(args.order):
-        canon = canonical_table(table)
-        if canon in seen:
-            continue
-        seen.add(canon)
+    classes = transversals = rebuilds = mismatches = audit_failures = 0
+    for canon in _iso_classes(band_tables(args.order), args.order):
+        classes += 1
         S = FiniteSemigroup(order=args.order, table=canon)
         for sub in enumerate_subsemigroups(S):
             status, maps = oracles.transversal_check(S.table, sub)
@@ -66,7 +62,7 @@ def main():
                 rt = roundtrip(S, D)
                 assert rt.checks.entry("w_isomorphism").passed
                 rebuilds += 1
-    print(f"bands of order {args.order}: {len(seen)} classes, "
+    print(f"bands of order {args.order}: {classes} classes, "
           f"{transversals} transversals, {rebuilds} certified rebuilds, "
           f"{audit_failures} audit failures, {mismatches} oracle mismatches "
           f"({time.time() - started:.1f}s)")

@@ -2,9 +2,11 @@
 
 Tables are generated by a depth-first fill with incremental associativity
 checking: placing table[a][b] = v re-checks exactly the triples whose four
-lookups became determined by that cell. Isomorphism reduction canonicalises
-each table to the lexicographically least relabeling and keeps first
-occurrences.
+lookups became determined by that cell. Isomorphism reduction is by orbit
+marking: the first table of each class is canonicalised to its
+lexicographically least relabeling, all n! relabelings of that table are
+marked, and every later table of the class is recognised as marked without
+being canonicalised.
 """
 
 from __future__ import annotations
@@ -101,24 +103,51 @@ def canonical_table(table) -> tuple[tuple[int, ...], ...]:
     return min(relabel_table(table, p) for p in itertools.permutations(range(n)))
 
 
+def _iso_classes(tables, n: int):
+    """Yield the canonical table of each isomorphism class met in ``tables``,
+    in order of first occurrence, calling ``canonical_table`` once per class.
+
+    Proof that this yields exactly what canonicalising every table and keeping
+    first occurrences yields. The relabelings of a table are exactly the tables
+    isomorphic to it, so the marked set is the union of the isomorphism classes
+    of the tables yielded so far. A table is therefore marked iff it is
+    isomorphic to an earlier table of the stream: it is skipped exactly when
+    its canonical form has already been seen, and it starts a new class, with
+    the same canonical table, exactly when it has not. Nothing is pruned on an
+    observed pattern. Tables are marked as flat ``bytes``, which holds every
+    entry since n <= 256.
+    """
+    perms = list(itertools.permutations(range(n)))
+    marked = set()
+    for table in tables:
+        if bytes(itertools.chain.from_iterable(table)) in marked:
+            continue
+        canon = canonical_table(table)
+        marked.update(
+            bytes(itertools.chain.from_iterable(relabel_table(canon, p))) for p in perms
+        )
+        yield canon
+
+
+def _check_cap(n: int, max_order: int) -> None:
+    """Refuse an order past the cap; warn past the default cap."""
+    cap = min(max_order, CENSUS_HARD_CAP)
+    if n > cap:
+        raise OrderCapExceeded(f"census order {n} exceeds the cap {cap}")
+    if n > CENSUS_CAP:
+        warnings.warn(f"census at order {n} may take minutes", stacklevel=3)
+
+
 def enumerate_semigroups(n: int, up_to_iso: bool = True, max_order: int = CENSUS_CAP):
     """Stream all semigroups of order n, optionally one per isomorphism class.
 
     ``max_order`` can be raised to 5, with a warning; beyond that the search
     space is out of desk range.
     """
-    cap = min(max_order, CENSUS_HARD_CAP)
-    if n > cap:
-        raise OrderCapExceeded(f"census order {n} exceeds the cap {cap}")
-    if n > CENSUS_CAP:
-        warnings.warn(f"census at order {n} may take minutes", stacklevel=2)
+    _check_cap(n, max_order)
     if up_to_iso:
-        seen = set()
-        for table in labelled_tables(n):
-            canon = canonical_table(table)
-            if canon not in seen:
-                seen.add(canon)
-                yield FiniteSemigroup(order=n, table=canon)
+        for canon in _iso_classes(labelled_tables(n), n):
+            yield FiniteSemigroup(order=n, table=canon)
     else:
         for table in labelled_tables(n):
             yield FiniteSemigroup(order=n, table=table)
@@ -126,12 +155,14 @@ def enumerate_semigroups(n: int, up_to_iso: bool = True, max_order: int = CENSUS
 
 def census_counts(n: int, max_order: int = CENSUS_CAP) -> tuple[int, int]:
     """(labelled tables, isomorphism classes) at order n."""
+    _check_cap(n, max_order)
     labelled = 0
-    seen = set()
-    cap = min(max_order, CENSUS_HARD_CAP)
-    if n > cap:
-        raise OrderCapExceeded(f"census order {n} exceeds the cap {cap}")
-    for table in labelled_tables(n):
-        labelled += 1
-        seen.add(canonical_table(table))
-    return labelled, len(seen)
+
+    def counted():
+        nonlocal labelled
+        for table in labelled_tables(n):
+            labelled += 1
+            yield table
+
+    classes = sum(1 for _ in _iso_classes(counted(), n))
+    return labelled, classes

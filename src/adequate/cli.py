@@ -13,13 +13,14 @@ import sys
 
 from . import census as census_mod
 from .construct import (
+    _iso_witness,
     build_quasi_ideal_w,
     build_semidirect,
     build_spined_product,
     build_w,
     check_section4_specialization,
 )
-from .core import CONGRUENCE_CAP, CONGRUENCE_HARD_CAP, SUBSEMIGROUP_CAP, find_isomorphism, restrict
+from .core import CONGRUENCE_CAP, CONGRUENCE_HARD_CAP, SUBSEMIGROUP_CAP, restrict
 from .decompose import roundtrip
 from .errors import (
     IsoFailed,
@@ -249,12 +250,15 @@ def cmd_construct(args) -> tuple[int, dict]:
 
 
 def _match_transversals(sp, d_l, d_r):
+    """Identify the two transversal copies by the map from the sorted left
+    transversal to the sorted right one, certified as an isomorphism. There is
+    no search: copies that match only under another bijection need 'identify'.
+    """
     sub_l, l_parent = restrict(sp.left, d_l.s0)
     sub_r, r_parent = restrict(sp.right, d_r.s0)
-    iso = find_isomorphism(sub_l, sub_r)
-    if iso is None:
+    if _iso_witness(sub_l, sub_r, range(sub_l.order)) is not None:
         raise SemigroupError("transversal copies are not isomorphic; supply 'identify'")
-    return {l_parent[i]: r_parent[iso[i]] for i in range(sub_l.order)}
+    return dict(zip(l_parent, r_parent))
 
 
 def cmd_census(args) -> tuple[int, dict]:

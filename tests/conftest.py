@@ -16,7 +16,7 @@ from adequate.transversal import (
 def pytest_addoption(parser):
     parser.addoption(
         "--acceptance-census-order", default="4",
-        help="extend the acceptance census to this order (5 takes minutes)",
+        help="extend the acceptance census to this order (5 takes under a minute)",
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 
+from adequate.census import labelled_tables
 from adequate.construct import build_spined_product
 from adequate.core import FiniteSemigroup, band_class, restrict
 from adequate.decompose import extract_spined_factors
@@ -143,20 +144,34 @@ def all_semigroup_tables(n):
             yield table
 
 
-def canonical_form(table):
-    """Least relabeling, with an index-chasing relabel different from the library's."""
+def relabelings(table):
+    """Every relabeling of a table, one per permutation (with repeats), by an
+    index-chasing relabel different from the library's."""
     n = len(table)
-    best = None
     for p in itertools.permutations(range(n)):
         inv = [0] * n
         for i, v in enumerate(p):
             inv[v] = i
-        cand = tuple(
+        yield tuple(
             tuple(p[table[inv[i]][inv[j]]] for j in range(n)) for i in range(n)
         )
-        if best is None or cand < best:
-            best = cand
-    return best
+
+
+def canonical_form(table):
+    """Least relabeling."""
+    return min(relabelings(table))
+
+
+def census_classes(n):
+    """Canonical forms in order of first occurrence, canonicalising every table
+    the library's DFS yields: the slow path that orbit marking replaces."""
+    seen, out = set(), []
+    for table in labelled_tables(n):
+        canon = canonical_form(table)
+        if canon not in seen:
+            seen.add(canon)
+            out.append(canon)
+    return out
 
 
 def census_class_count(n) -> tuple[int, int]:

@@ -292,3 +292,42 @@ def test_c10_census_counts_match_oracle():
         assert classes == expected == oracle_classes
         assert labelled == oracle_labelled
     _report(10, "census counts", started, "orders 2 and 3: 5 and 24 classes")
+
+
+# Classes per column of the census at orders 1-5. The counts of all classes,
+# inverse semigroups, commutative semigroups and monoids are published (OEIS
+# A027851, A001428, A023814, A058129; Distler's census, Smallsemi). The band row
+# agrees with scripts/sweep_bands.py; no sequence is cited for it here. The
+# adequate and quasi-adequate rows are this library's own figures.
+CENSUS_COLUMNS = {
+    "all": (1, 5, 24, 188, 1915),
+    "inverse": (1, 2, 5, 16, 52),
+    "commutative": (1, 3, 12, 58, 325),
+    "monoid": (1, 2, 7, 35, 228),
+    "band": (1, 3, 10, 46, 251),
+    "adequate": (1, 2, 5, 17, 60),
+    "quasi_adequate": (1, 4, 13, 68, 372),
+}
+
+
+def test_c11_census_columns_match_published_counts(acceptance_order):
+    started = time.time()
+    found = {column: [0] * acceptance_order for column in CENSUS_COLUMNS}
+    for S in census_pool(acceptance_order):
+        n, t = S.order, S.table
+        prof = abundance_profile(S)
+        flags = {
+            "all": True,
+            "inverse": prof.is_inverse,
+            "commutative": all(t[a][b] == t[b][a] for a in range(n) for b in range(n)),
+            "monoid": S.identity() is not None,
+            "band": all(t[a][a] == a for a in range(n)),
+            "adequate": prof.is_adequate,
+            "quasi_adequate": prof.is_quasi_adequate,
+        }
+        for column, flag in flags.items():
+            found[column][n - 1] += flag
+    for column, counts in CENSUS_COLUMNS.items():
+        assert tuple(found[column]) == counts[:acceptance_order], column
+    _report(11, "published census columns", started,
+            f"orders 1-{acceptance_order}: {sum(found['all'])} classes")

@@ -55,6 +55,15 @@ def test_cap_behaviour():
         gen = enumerate_semigroups(5, max_order=5)
         next(gen)
         assert any("minutes" in str(w.message) for w in caught)
+    with pytest.raises(OrderCapExceeded):
+        census_counts(5)
+    with pytest.raises(OrderCapExceeded):
+        census_counts(6, max_order=6)
+    with warnings.catch_warnings():
+        # raised as an error, the warning stops the count before it starts
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="minutes"):
+            census_counts(5, max_order=5)
 
 
 @settings(max_examples=40)
@@ -69,3 +78,15 @@ def test_matches_full_scan_oracle():
     for n in (1, 2, 3):
         labelled, classes = census_counts(n)
         assert (labelled, classes) == oracles.census_class_count(n)
+
+
+def test_orbit_marking_matches_canonicalising_every_table():
+    for n in range(1, 5):
+        assert [S.table for S in enumerate_semigroups(n)] == oracles.census_classes(n)
+    assert census_counts(4) == (3492, 188)
+
+
+def test_labelled_count_is_the_sum_of_orbit_sizes():
+    for n in range(1, 5):
+        orbits = sum(len(set(oracles.relabelings(S.table))) for S in enumerate_semigroups(n))
+        assert census_counts(n)[0] == orbits

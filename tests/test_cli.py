@@ -146,6 +146,18 @@ class TestConstruct:
         assert out.splitlines() == ["construction rejected: SemigroupError: transversal "
                                     "copies are not isomorphic; supply 'identify'"]
 
+    def test_spined_copies_are_matched_in_sorted_order_only(self, capsys, tmp_path):
+        # isomorphic copies, but only under the swap 0 <-> 1: no search is made
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps({
+            "left": {"table": [[0, 0], [0, 1]]}, "left_transversal": [0, 1],
+            "right": {"table": [[0, 1], [1, 1]]}, "right_transversal": [0, 1],
+        }))
+        code, out, err = run(capsys, "construct", "spined", str(path))
+        assert code == 1 and err == ""
+        assert out.splitlines() == ["construction rejected: SemigroupError: transversal "
+                                    "copies are not isomorphic; supply 'identify'"]
+
     def test_corrupted_structure_is_math_failure(self, capsys, tmp_path):
         obj = json.loads((DATA / "lz2_structure.json").read_text())
         obj["alpha"]["0,0"]["0,0"] = 1
